@@ -10,16 +10,15 @@ exactly c tags hold the orders 1..c.
 import numpy as np
 
 from rfid_sampler import TagState, generate_population, optc1_round, optc2_round
-from rfid_sampler.population import category_tags
 
 N, C = 40, 6
 rng = np.random.default_rng(2)
 
 pop = generate_population([(N, C)], rng_seed=14)
-tags = category_tags(pop, 1)
+hi, lo = pop.halves(1)  # the category's IDs as high and low 48-bit halves
 
-coarse = optc1_round(tags, C, rng)
-selected = [t for t in tags if t.state is TagState.SELECTED]
+coarse = optc1_round(hi, lo, C, rng)
+selected = coarse.pool  # only the selected tags become Tag objects
 print(f"category of {N} tags, want c = {C}")
 print(f"stage 1: tested {coarse.seed_tests} seed(s), "
       f"{len(selected)} tags selected, header {coarse.bits_sent} bits")

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .population import Population, TagState, category_tags
+from .population import Population, halves_to_ids
 from .selgen import SELECT_FIXED_BITS, SelectCommand
 
 ID_MASK_BITS = 96
@@ -27,13 +27,10 @@ def run_random_select(
     ID: c_k commands of 96-bit masks per category, no hashing involved."""
     reports = []
     for spec in population.categories:
-        tags = category_tags(population, spec.k)
-        picks = rng.choice(len(tags), size=spec.c, replace=False)
-        ready = []
-        for order, i in enumerate(picks.tolist(), start=1):
-            tags[i].state = TagState.READY
-            tags[i].cnt = order
-            ready.append((tags[i].id, order))
+        hi, lo = population.halves(spec.k)
+        picks = rng.choice(spec.n, size=spec.c, replace=False)
+        ids = halves_to_ids(hi[picks], lo[picks])
+        ready = [(tid, order) for order, tid in enumerate(ids, start=1)]
         bits = spec.c * (SELECT_FIXED_BITS + ID_MASK_BITS)
         reports.append(
             BaselineReport(

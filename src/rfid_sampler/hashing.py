@@ -138,24 +138,6 @@ def seed_pool(length: int, window: str = WINDOW_FULL) -> list[int]:
 
 
 def find_suitable_seed(
-    tags,
-    c: int,
-    max_tests: int = 96,
-    rng: np.random.Generator | None = None,
-    window: str = WINDOW_FULL,
-) -> tuple[SeedSpec | None, SeedSearchStats]:
-    """Draw start positions without replacement until a suitable seed appears.
-
-    A COTS window that runs dry is widened to the full window before giving
-    up; exhaustion is reported in the stats, not raised.
-    """
-    rng = rng if rng is not None else np.random.default_rng()
-    ids = _as_ids(tags)
-    hi, lo = ids_to_halves(ids)
-    return find_suitable_seed_from_halves(hi, lo, c, max_tests=max_tests, rng=rng, window=window)
-
-
-def find_suitable_seed_from_halves(
     hi: np.ndarray,
     lo: np.ndarray,
     c: int,
@@ -163,7 +145,12 @@ def find_suitable_seed_from_halves(
     rng: np.random.Generator | None = None,
     window: str = WINDOW_FULL,
 ) -> tuple[SeedSpec | None, SeedSearchStats]:
-    """Array-based core of find_suitable_seed, skipping python-int IDs."""
+    """Draw start positions without replacement until a suitable seed
+    appears for the tags with ID halves (hi, lo).
+
+    A COTS window that runs dry is widened to the full window before giving
+    up; exhaustion is reported in the stats, not raised.
+    """
     rng = rng if rng is not None else np.random.default_rng()
     n = len(hi)
     L = mod_hash_width(n)
@@ -208,9 +195,7 @@ def seed_trial_statistics(n: int, c: int, trials: int, rng_seed: int) -> dict:
         # duplicate IDs are vanishingly unlikely at 96 bits, so the array
         # path skips the dedup pass that generate_population performs
         halves = rng.integers(0, 1 << _HALF_BITS, size=(n, 2), dtype=np.uint64)
-        seed, stats = find_suitable_seed_from_halves(
-            halves[:, 0], halves[:, 1], c, rng=rng
-        )
+        seed, stats = find_suitable_seed(halves[:, 0], halves[:, 1], c, rng=rng)
         if not stats.found:
             raise RuntimeError(f"seed pool exhausted for n={n}, c={c}")
         tests_seen.append(stats.tests)

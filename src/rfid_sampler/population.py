@@ -3,6 +3,11 @@
 Tags carry 96-bit IDs whose bits are drawn independently and uniformly at
 random, so any substring window is usable as a hash source.  IDs are unique
 within a population (collisions are resolved by redraw).
+
+A population is stored as arrays: each ID as its high and low 48-bit halves,
+categories contiguous and ascending by ID inside each, with CSR offsets
+marking where each category starts.  Per-tag `Tag` objects carry protocol
+state and are built only where a stage needs them.
 """
 
 from __future__ import annotations
@@ -28,17 +33,11 @@ class TagState(enum.Enum):
 
 @dataclass(slots=True)
 class Tag:
-    """One tag: 96-bit ID, category membership and protocol state."""
+    """One tag: 96-bit ID and protocol state."""
 
     id: int
-    category_id: int
     state: TagState = TagState.UNACKNOWLEDGED
     cnt: int = 0
-    missing: bool = False
-
-    def reset(self):
-        self.state = TagState.UNACKNOWLEDGED
-        self.cnt = 0
 
 
 @dataclass(frozen=True)
@@ -60,47 +59,75 @@ class CategorySpec:
 
 @dataclass
 class Population:
-    tags: list[Tag]
+    """Categories in order; category i holds the IDs hi/lo[offsets[i]:offsets[i+1]],
+    ascending.  `missing` flags tags, in the same layout, for mark_missing."""
+
     categories: list[CategorySpec]
     rng_seed: int
-    _by_category: dict[int, list[Tag]] = field(default_factory=dict, repr=False)
+    hi: np.ndarray
+    lo: np.ndarray
+    offsets: np.ndarray
+    missing: np.ndarray | None = None
+    _index: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self._by_category:
-            for spec in self.categories:
-                self._by_category[spec.k] = sorted(
-                    (t for t in self.tags if t.category_id == spec.k),
-                    key=lambda t: t.id,
-                )
+        self._index = {s.k: i for i, s in enumerate(self.categories)}
 
     @property
     def size(self) -> int:
-        return len(self.tags)
+        return len(self.hi)
 
-    def spec(self, k: int) -> CategorySpec:
-        for s in self.categories:
-            if s.k == k:
-                return s
-        raise KeyError(f"no category {k}")
+    def halves(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """(hi, lo) ID halves of category k, ascending by ID (views, not copies)."""
+        try:
+            i = self._index[k]
+        except KeyError:
+            raise KeyError(f"no category {k}") from None
+        a, b = self.offsets[i], self.offsets[i + 1]
+        return self.hi[a:b], self.lo[a:b]
 
-    def reset_states(self):
-        for t in self.tags:
-            t.reset()
+
+def _first_occurrences(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """Mask keeping the first (lowest-index) occurrence of every (hi, lo) pair."""
+    order = np.lexsort((lo, hi))  # stable: equal IDs stay in index order
+    h, l = hi[order], lo[order]
+    keep = np.ones(len(hi), dtype=bool)
+    keep[order[1:][(h[1:] == h[:-1]) & (l[1:] == l[:-1])]] = False
+    return keep
 
 
-def _random_ids(n: int, rng: np.random.Generator) -> list[int]:
-    """n distinct 96-bit IDs, every bit independently uniform."""
-    ids: list[int] = []
-    seen: set[int] = set()
-    while len(ids) < n:
-        need = n - len(ids)
-        halves = rng.integers(0, 1 << _HALF_BITS, size=(need, 2), dtype=np.uint64)
-        for hi, lo in halves:
-            v = (int(hi) << _HALF_BITS) | int(lo)
-            if v not in seen:
-                seen.add(v)
-                ids.append(v)
-    return ids
+def random_ids(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """n distinct 96-bit IDs as (hi, lo) uint64 halves, every bit
+    independently uniform, in draw order.  A drawn ID equal to an earlier
+    one is dropped, and the shortfall is drawn again until n are distinct."""
+    hi = lo = np.empty(0, dtype=np.uint64)
+    while len(hi) < n:
+        halves = rng.integers(0, 1 << _HALF_BITS, size=(n - len(hi), 2), dtype=np.uint64)
+        hi = np.concatenate((hi, halves[:, 0]))
+        lo = np.concatenate((lo, halves[:, 1]))
+        keep = _first_occurrences(hi, lo)
+        if not keep.all():
+            hi, lo = hi[keep], lo[keep]
+    return hi, lo
+
+
+def _category_order(hi: np.ndarray, lo: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Permutation sorting IDs dealt to categories in draw order (sizes[i]
+    to category i) by (category, ID)."""
+    category = np.repeat(np.arange(len(sizes)), sizes)
+    return np.lexsort((lo, hi, category))
+
+
+def halves_to_ids(hi: np.ndarray, lo: np.ndarray) -> list[int]:
+    """Python-int IDs from their (hi, lo) halves, in the given order."""
+    return [(h << _HALF_BITS) | l for h, l in zip(hi.tolist(), lo.tolist())]
+
+
+def make_tags(
+    hi: np.ndarray, lo: np.ndarray, state: TagState = TagState.UNACKNOWLEDGED
+) -> list[Tag]:
+    """One fresh Tag per (hi, lo) ID half pair, in the given order."""
+    return [Tag(id=i, state=state) for i in halves_to_ids(hi, lo)]
 
 
 def generate_population(
@@ -110,18 +137,19 @@ def generate_population(
     if not category_sizes:
         raise ConfigurationError("need at least one category")
     specs = [CategorySpec(k, n, c) for k, (n, c) in enumerate(category_sizes, start=1)]
-    total = sum(s.n for s in specs)
+    sizes = np.array([s.n for s in specs], dtype=np.int64)
+    total = int(sizes.sum())
     if total > _MAX_POPULATION:
         raise ConfigurationError(f"population of {total} exceeds desk scale 2^20")
 
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    ids = _random_ids(total, rng)
-    tags = []
-    pos = 0
-    for s in specs:
-        tags.extend(Tag(id=ids[pos + i], category_id=s.k) for i in range(s.n))
-        pos += s.n
-    return Population(tags=tags, categories=specs, rng_seed=rng_seed)
+    hi, lo = random_ids(total, rng)
+    order = _category_order(hi, lo, sizes)
+    offsets = np.zeros(len(specs) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=offsets[1:])
+    return Population(
+        categories=specs, rng_seed=rng_seed, hi=hi[order], lo=lo[order], offsets=offsets
+    )
 
 
 def mark_missing(
@@ -141,18 +169,15 @@ def mark_missing(
             raise ConfigurationError(f"missing rate must be in [0, 1), got {a}")
 
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    for spec in population.categories:
-        alpha = rates[spec.k - 1]
-        members = population._by_category[spec.k]
-        draws = rng.random(len(members))
-        for tag, u in zip(members, draws):
-            tag.missing = bool(u < alpha)
+    missing = np.empty(population.size, dtype=bool)
+    for i, spec in enumerate(population.categories):
+        a, b = population.offsets[i], population.offsets[i + 1]
+        missing[a:b] = rng.random(b - a) < rates[spec.k - 1]
+    population.missing = missing
     return population
 
 
 def category_tags(population: Population, k: int) -> list[Tag]:
-    """All tags of category k, ordered by ascending ID."""
-    try:
-        return list(population._by_category[k])
-    except KeyError:
-        raise KeyError(f"no category {k}") from None
+    """Fresh Unacknowledged tags of category k, ordered by ascending ID."""
+    hi, lo = population.halves(k)
+    return make_tags(hi, lo)

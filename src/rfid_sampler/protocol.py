@@ -22,7 +22,7 @@ implementation of the design above 2.1x there (closed form 2.381x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,7 +38,7 @@ from .hashing import (
     substring_values,
     suitable_from_count,
 )
-from .population import Population, Tag, TagState
+from .population import Population, Tag, TagState, make_tags
 
 
 @dataclass
@@ -66,6 +66,10 @@ class RoundOutcome:
     bits_sent: int = 0
     payload_bits: int = 0
     seed_tests: int = 0
+    # Coarse stage only: the Selected tags it hands to the refinement stage,
+    # and their positions in the category's ID arrays.
+    pool: list[Tag] = field(default_factory=list)
+    positions: np.ndarray | None = None
 
 
 @dataclass
@@ -91,59 +95,48 @@ def optc1_header_bits(n: int, c: int) -> int:
     return math.ceil(math.log2(96.0 / log_n)) + math.ceil(math.log2(c))
 
 
-def apply_selection_threshold(tags: list[Tag], hashes, c: int) -> list[Tag]:
-    """Move Unacknowledged tags to Selected/Unselected by the threshold rule."""
-    thr = selection_threshold(c)
-    chosen = []
-    for tag, h in zip(tags, hashes):
-        if h <= thr:
-            tag.state = TagState.SELECTED
-            chosen.append(tag)
-        else:
-            tag.state = TagState.UNSELECTED
-    return chosen
-
-
 def optc1_round(
-    tags: list[Tag],
+    hi: np.ndarray,
+    lo: np.ndarray,
     c: int,
     rng: np.random.Generator,
     window: str = WINDOW_FULL,
     seed_spec: SeedSpec | None = None,
 ) -> RoundOutcome:
-    """Coarse stage for one category: broadcast a suitable seed, tags flip a
-    Bernoulli coin via the threshold rule.  `seed_spec` forces a seed
+    """Coarse stage for one category, given its tags' ID halves (hi, lo):
+    broadcast a suitable seed, tags flip a Bernoulli coin via the threshold
+    rule.  Only the tags it selects become `Tag` objects, in the Selected
+    state; the rest stay Unacknowledged IDs.  `seed_spec` forces a seed
     (testing hook); otherwise a suitable one is searched for.
     """
-    n = len(tags)
+    n = len(hi)
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
-    for t in tags:
-        if t.state is not TagState.UNACKNOWLEDGED:
-            raise ProtocolError(f"tag {t.id:#x} not in the unacknowledged state")
 
     tests = 0
     if seed_spec is None:
-        seed_spec, stats = find_suitable_seed(tags, c, rng=rng, window=window)
+        seed_spec, stats = find_suitable_seed(hi, lo, c, rng=rng, window=window)
         tests = stats.tests
         if seed_spec is None:
             raise ProtocolError(
                 f"no suitable seed for n={n}, c={c} after {stats.tests} tests"
             )
 
-    hi, lo = ids_to_halves([t.id for t in tags])
     hashes = substring_values(hi, lo, seed_spec) % np.uint64(n)
-    chosen = apply_selection_threshold(tags, hashes.tolist(), c)
-    if seed_spec is not None and not suitable_from_count(len(chosen), c):
-        raise ProtocolError(f"seed selected {len(chosen)} tags, outside bounds")
+    positions = np.flatnonzero(hashes <= selection_threshold(c))
+    if not suitable_from_count(len(positions), c):
+        raise ProtocolError(f"seed selected {len(positions)} tags, outside bounds")
+    pool = make_tags(hi[positions], lo[positions], TagState.SELECTED)
 
     return RoundOutcome(
-        selected=[t.id for t in chosen],
+        selected=[t.id for t in pool],
         ready=[],
         iterations=1,
         bits_sent=optc1_header_bits(n, c),
         payload_bits=0,
         seed_tests=tests,
+        pool=pool,
+        positions=positions,
     )
 
 
@@ -282,25 +275,21 @@ def run_optc(
     window: str = WINDOW_FULL,
 ) -> tuple[list[RoundOutcome], CostLedger]:
     """Full protocol: K coarse rounds, then K refinement rounds."""
-    from .population import category_tags
-
     ledger = CostLedger()
-    coarse: dict[int, RoundOutcome] = {}
+    coarse: list[RoundOutcome] = []
     for spec in population.categories:
-        tags = category_tags(population, spec.k)
-        out = optc1_round(tags, spec.c, rng, window=window)
-        coarse[spec.k] = out
+        hi, lo = population.halves(spec.k)
+        out = optc1_round(hi, lo, spec.c, rng, window=window)
+        coarse.append(out)
         ledger.bits_reader_to_tag += out.bits_sent
 
     outcomes = []
-    for spec in population.categories:
-        tags = category_tags(population, spec.k)
-        chosen = [t for t in tags if t.state is TagState.SELECTED]
-        out = optc2_round(chosen, spec.c, window=window)
-        out.seed_tests = coarse[spec.k].seed_tests
-        out.bits_sent += coarse[spec.k].bits_sent
+    for spec, first in zip(population.categories, coarse):
+        out = optc2_round(first.pool, spec.c, window=window)
+        out.seed_tests = first.seed_tests
+        out.bits_sent += first.bits_sent
         outcomes.append(out)
-        ledger.bits_reader_to_tag += out.bits_sent - coarse[spec.k].bits_sent
+        ledger.bits_reader_to_tag += out.bits_sent - first.bits_sent
         ledger.payload_bits += out.payload_bits
         ledger.frames += out.iterations
     return outcomes, ledger

@@ -19,13 +19,12 @@ from .hashing import (
     SeedSpec,
     WINDOW_COTS,
     WINDOW_FULL,
-    ids_to_halves,
     seed_pool,
     selection_threshold,
     substring_values,
     suitable_from_count,
 )
-from .population import Population, TagState, category_tags
+from .population import Population, halves_to_ids
 
 SELECT_FIXED_BITS = 3 + 3 + 2 + 16 + 8  # everything except the mask
 _TARGET_SL = "100"  # session flag SL
@@ -179,25 +178,27 @@ def _draw_windows(length: int, rng: np.random.Generator, window: str) -> list[Se
 
 
 def run_impl_category(
-    tags,
+    hi: np.ndarray,
+    lo: np.ndarray,
     c: int,
     rng: np.random.Generator,
     window: str = WINDOW_COTS,
     scaled: bool = True,
     optimize_tau: bool = True,
+    *,
+    k: int = 1,
 ) -> ImplRoundResult:
-    """Both stages for one category, returning the full command transcript.
+    """Both stages for category k, given its tags' ID halves (hi, lo),
+    returning the full command transcript.
 
     Stage one redraws the hash window until the number of tags under the
     coarse threshold is in [c, c + 6*sqrt(c)].  Stage two redraws a wider
     window until the c smallest raw hashes are distinct and separated
     from the (c+1)-th, then selects them with a threshold filter set.
     """
-    n = len(tags)
+    n = len(hi)
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
-    ids = [t.id for t in tags]
-    hi, lo = ids_to_halves(ids)
 
     # stage one: coarse selection by threshold on an L1-bit raw hash
     L1 = max(1, math.ceil(math.log2(n)))
@@ -218,15 +219,12 @@ def run_impl_category(
     if coarse_seed is None:
         raise ProtocolError(f"no coarse hash window suits n={n}, c={c}")
     sel_idx = np.flatnonzero(coarse_vals <= tau1)
-    selected = [tags[i] for i in sel_idx]
-    for i, t in enumerate(tags):
-        t.state = TagState.SELECTED if coarse_vals[i] <= tau1 else TagState.UNSELECTED
     cmds = selgen_commands(tau1, L1, pointer=coarse_seed.start - 1)
 
     # stage two: exact selection among the l survivors
-    l = len(selected)
+    l = len(sel_idx)
     L2 = max(1, math.ceil(math.log2(l * l))) if l > 1 else 1
-    s_hi, s_lo = ids_to_halves([t.id for t in selected])
+    s_hi, s_lo = hi[sel_idx], lo[sel_idx]
     refine_seed = None
     refine_vals = None
     redraws2 = 0
@@ -249,21 +247,16 @@ def run_impl_category(
         tau2 = int(order[c - 1])
     cmds += selgen_commands(tau2, L2, pointer=refine_seed.start - 1)
 
-    ready = []
-    ranked = sorted(
-        (int(v), t) for v, t in zip(refine_vals, selected) if v <= tau2
-    )
-    if len(ranked) != c:
-        raise ProtocolError(f"threshold {tau2} picked {len(ranked)} tags, want {c}")
-    for rank, (_, tag) in enumerate(ranked, start=1):
-        tag.state = TagState.READY
-        tag.cnt = rank
-        ready.append((tag.id, rank))
-    for _, tag in ((v, t) for v, t in zip(refine_vals, selected) if v > tau2):
-        tag.state = TagState.UNSELECTED
+    picked = np.flatnonzero(refine_vals <= tau2)
+    if len(picked) != c:
+        raise ProtocolError(f"threshold {tau2} picked {len(picked)} tags, want {c}")
+    # reporting orders follow the refine hash rank; the hashes are distinct
+    picked = picked[np.argsort(refine_vals[picked])]
+    ids = halves_to_ids(s_hi[picked], s_lo[picked])
+    ready = [(tid, rank) for rank, tid in enumerate(ids, start=1)]
 
     return ImplRoundResult(
-        k=tags[0].category_id if tags else -1,
+        k=k,
         coarse_seed=coarse_seed,
         coarse_redraws=redraws1,
         coarse_selected=l,
@@ -286,10 +279,11 @@ def run_optc_impl(
     """The Select-command realization over every category in turn."""
     results = []
     for spec in population.categories:
-        tags = category_tags(population, spec.k)
+        hi, lo = population.halves(spec.k)
         results.append(
             run_impl_category(
-                tags, spec.c, rng, window=window, scaled=scaled, optimize_tau=optimize_tau
+                hi, lo, spec.c, rng, window=window, scaled=scaled,
+                optimize_tau=optimize_tau, k=spec.k,
             )
         )
     return results

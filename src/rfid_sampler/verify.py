@@ -11,7 +11,7 @@ import numpy as np
 
 from .analysis import mu, rho, seed_success_lower_bound
 from .hashing import seed_trial_statistics
-from .population import Tag, TagState, _random_ids
+from .population import TagState, make_tags, random_ids
 from .protocol import optc1_round, optc2_round
 from .selgen import command_count, selgen_filters
 
@@ -29,18 +29,13 @@ class Check:
         return f"[{status}] {self.name}: {self.detail}"
 
 
-def _fresh_tags(n: int, rng: np.random.Generator, state=TagState.UNACKNOWLEDGED) -> list[Tag]:
-    return [Tag(id=i, category_id=1, state=state) for i in _random_ids(n, rng)]
-
-
 def sample_once(n: int, c: int, rng: np.random.Generator) -> list[tuple[int, int]]:
     """Run both stages on a fresh n-tag category; return (index, order) of
     the sampled tags, indices by position in the generated list."""
-    tags = _fresh_tags(n, rng)
-    optc1_round(tags, c, rng)
-    chosen = [t for t in tags if t.state is TagState.SELECTED]
-    out = optc2_round(chosen, c)
-    pos = {t.id: i for i, t in enumerate(tags)}
+    hi, lo = random_ids(n, rng)
+    coarse = optc1_round(hi, lo, c, rng)
+    out = optc2_round(coarse.pool, c)
+    pos = dict(zip(coarse.selected, coarse.positions.tolist()))
     return [(pos[tid], order) for tid, order in out.ready]
 
 
@@ -128,7 +123,7 @@ def suite_cost(trials: int = 4000, rng_seed: int = 31) -> list[Check]:
         total = 0
         for _ in range(trials):
             l = int(rng.integers(c, l_max + 1))
-            tags = _fresh_tags(l, rng, state=TagState.SELECTED)
+            tags = make_tags(*random_ids(l, rng), TagState.SELECTED)
             out = optc2_round(tags, c)
             total += out.payload_bits
         ratio = (total / trials) / (math.e * c)

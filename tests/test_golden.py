@@ -1,0 +1,82 @@
+"""Golden outputs: a fixed config and seed give byte-identical results.
+
+The digests were taken from the implementation that built one Python object
+per tag; any change to the representation underneath must reproduce them.
+A change that alters the protocol's behaviour on purpose updates them and
+says why.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+
+from rfid_sampler import TimingModel, category_tags, generate_population
+from rfid_sampler.baselines import run_random_select
+from rfid_sampler.harness import run_scenarios
+from rfid_sampler.protocol import run_optc
+from rfid_sampler.selgen import run_optc_impl
+from rfid_sampler.verify import sample_once
+
+SCENARIO = """\
+[golden-mixed]
+K = 4
+n = 40,60
+c = 5
+trials = 3
+seed = 11
+protocols = optc, optc-impl, random-select
+
+[golden-wide]
+K = 3
+n = 300
+c = 20,30,7
+trials = 2
+seed = 5
+protocols = optc, optc-impl, random-select
+"""
+
+SIMULATE_CSV_SHA256 = "d5c3a445dac846a6271aa1acfa1aefb57f8682cb1b8a6de5db247a57239e7639"
+SIMULATE_JSON_SHA256 = "7a490cc00e2853acfbccb02f03937e5c988f43409f3c6e2d5e37c254bb216df3"
+SAMPLE_ONCE_SHA256 = "1404132068085e02c7739be059f1a53b73909a8038f179502fce637ae7eb3571"
+SAMPLED_IDS_SHA256 = "bc169261a6a6538b12a2e8ed67ae48f638f55416295fd59e9253ecb4fed557b5"
+
+# (n, c) rounds for the sample_once sequence: n = c, n = 1, tiny, and wide
+ROUNDS = [(1, 1), (2, 1), (6, 2), (6, 6), (40, 7), (100, 10), (257, 50), (1000, 100), (999, 1)]
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_simulate_output_digests(tmp_path):
+    config = tmp_path / "golden.ini"
+    config.write_text(SCENARIO)
+    out = tmp_path / "golden.csv"
+    run_scenarios(str(config), str(out))
+    assert _sha256(out) == SIMULATE_CSV_SHA256
+    assert _sha256(tmp_path / "golden.csv.json") == SIMULATE_JSON_SHA256
+
+
+def test_sample_once_sequence_digest():
+    rng = np.random.default_rng(np.random.SeedSequence(2024))
+    outputs = [sample_once(n, c, rng) for n, c in ROUNDS]
+    digest = hashlib.sha256(json.dumps(outputs).encode()).hexdigest()
+    assert digest == SAMPLE_ONCE_SHA256
+
+
+def test_population_and_sampled_ids_digest():
+    """The CSV records bits only; this pins the IDs themselves: every
+    category's tags in order, and the tags each protocol samples."""
+    pop = generate_population([(40, 5), (60, 8), (300, 20), (1, 1)], rng_seed=77)
+    optc, _ = run_optc(pop, TimingModel(), np.random.default_rng(1))
+    impl = run_optc_impl(pop, np.random.default_rng(2))
+    baseline = run_random_select(pop, np.random.default_rng(3))
+    record = {
+        "ids": [[t.id for t in category_tags(pop, s.k)] for s in pop.categories],
+        "optc": [out.ready for out in optc],
+        "optc-impl": [res.ready for res in impl],
+        "random-select": [rep.ready for rep in baseline],
+    }
+    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
+    assert digest == SAMPLED_IDS_SHA256

@@ -105,8 +105,9 @@ def test_find_suitable_seed_deterministic():
     rng1 = np.random.default_rng(7)
     rng2 = np.random.default_rng(7)
     ids = [int(x) for x in np.random.default_rng(0).integers(0, 1 << 63, 200)]
-    s1, st1 = find_suitable_seed(ids, 10, rng=rng1)
-    s2, st2 = find_suitable_seed(ids, 10, rng=rng2)
+    hi, lo = ids_to_halves(ids)
+    s1, st1 = find_suitable_seed(hi, lo, 10, rng=rng1)
+    s2, st2 = find_suitable_seed(hi, lo, 10, rng=rng2)
     assert s1 == s2 and st1.tests == st2.tests
 
 

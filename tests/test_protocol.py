@@ -18,6 +18,7 @@ from rfid_sampler import (
 )
 from rfid_sampler import protocol
 from rfid_sampler.analysis import TimingModel
+from rfid_sampler.hashing import ids_to_halves
 from rfid_sampler.protocol import (
     optc1_header_bits,
     refine_frame_length,
@@ -30,9 +31,13 @@ from rfid_sampler.verify import sample_once
 def _tags(n, state=TagState.UNACKNOWLEDGED):
     rng = np.random.default_rng(1234)
     return [
-        Tag(id=int(rng.integers(0, 1 << 62)) << 30 | i, category_id=1, state=state)
+        Tag(id=int(rng.integers(0, 1 << 62)) << 30 | i, state=state)
         for i in range(n)
     ]
+
+
+def _halves(tags):
+    return ids_to_halves([t.id for t in tags])
 
 
 class TestFrame:
@@ -88,13 +93,13 @@ class TestCoarseStage:
     def test_selected_count_in_bounds(self):
         rng = np.random.default_rng(5)
         tags = _tags(300)
-        out = optc1_round(tags, 20, rng)
-        selected = [t for t in tags if t.state is TagState.SELECTED]
-        assert len(out.selected) == len(selected)
-        assert 20 <= len(selected) <= 20 + 6 * math.sqrt(20)
-        assert all(
-            t.state in (TagState.SELECTED, TagState.UNSELECTED) for t in tags
-        )
+        out = optc1_round(*_halves(tags), 20, rng)
+        assert len(out.selected) == len(out.pool)
+        assert 20 <= len(out.pool) <= 20 + 6 * math.sqrt(20)
+        # the Selected tags are exactly the tags at the reported positions
+        assert all(t.state is TagState.SELECTED for t in out.pool)
+        assert out.selected == [tags[i].id for i in out.positions]
+        assert [t.id for t in out.pool] == out.selected
 
     def test_header_bits(self):
         # ceil(log2(96/log2 n)) + ceil(log2 c)
@@ -103,12 +108,14 @@ class TestCoarseStage:
 
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError):
-            optc1_round(_tags(5), 6, np.random.default_rng(0))
+            optc1_round(*_halves(_tags(5)), 6, np.random.default_rng(0))
 
     def test_rejects_non_unacknowledged(self):
-        tags = _tags(10, state=TagState.SELECTED)
-        with pytest.raises(ProtocolError):
-            optc1_round(tags, 2, np.random.default_rng(0))
+        """The coarse stage reads IDs, not tags, so no tag carrying protocol
+        state can enter it: the tags it hands over are created afresh,
+        Selected with cnt 0."""
+        out = optc1_round(*_halves(_tags(10)), 2, np.random.default_rng(0))
+        assert all(t.state is TagState.SELECTED and t.cnt == 0 for t in out.pool)
 
 
 class TestRefineStage:
@@ -123,6 +130,13 @@ class TestRefineStage:
             t.state is TagState.UNSELECTED for t in tags if t not in ready
         )
 
+    def test_rejects_tags_no_longer_selected(self):
+        # once refinement has moved the pool out of Selected, no round admits it
+        out = optc1_round(*_halves(_tags(10)), 2, np.random.default_rng(0))
+        optc2_round(out.pool, 2)
+        with pytest.raises(ProtocolError):
+            optc2_round(out.pool, 2)
+
     def test_cost_fields(self):
         tags = _tags(20, state=TagState.SELECTED)
         out = optc2_round(tags, 8)
@@ -136,7 +150,7 @@ class TestRefineStage:
         # top 19 ID bits, so these tags land in slots 0, 2 and 5.
         seed = refine_seed(2, 1)
         shift = 96 - (seed.start + seed.length - 1)
-        tags = [Tag(id=(v << shift) | 1, category_id=1, state=TagState.SELECTED)
+        tags = [Tag(id=(v << shift) | 1, state=TagState.SELECTED)
                 for v in (7 * 11, 7 * 5 + 2, 7 * 3 + 5)]
         out = optc2_round(tags, 2)
         assert out.iterations == 1

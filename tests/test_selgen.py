@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from rfid_sampler import (
     SelectCommand,
-    Tag,
-    TagState,
     best_threshold,
+    category_tags,
     command_count,
     generate_population,
     run_optc_impl,
@@ -117,17 +116,18 @@ class TestImplementation:
     def test_single_category_end_state(self):
         pop = generate_population([(25, 6)], rng_seed=17)
         rng = np.random.default_rng(4)
-        res = run_impl_category(list(pop.tags), 6, rng)
-        ready = [t for t in pop.tags if t.state is TagState.READY]
+        res = run_impl_category(*pop.halves(1), 6, rng)
+        ready = {tid for tid, _ in res.ready}
         assert len(ready) == 6
-        assert sorted(t.cnt for t in ready) == list(range(1, 7))
+        assert ready <= {t.id for t in category_tags(pop, 1)}
+        assert sorted(o for _, o in res.ready) == list(range(1, 7))
         assert 6 <= res.coarse_selected <= 6 + 6 * math.sqrt(6)
         assert res.bits == commands_bit_cost(res.commands)
 
     def test_orders_follow_hash_rank(self):
         pop = generate_population([(25, 6)], rng_seed=29)
         rng = np.random.default_rng(8)
-        res = run_impl_category(list(pop.tags), 6, rng)
+        res = run_impl_category(*pop.halves(1), 6, rng)
         ids_in_order = [tid for tid, _ in sorted(res.ready, key=lambda x: x[1])]
         # recompute the refine-stage hashes and check ranks agree
         from rfid_sampler.hashing import substring_hash
