@@ -163,9 +163,6 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except KeyError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except ProtocolError as exc:
         print(f"protocol failure: {exc}", file=sys.stderr)
         return EXIT_PROTOCOL

@@ -137,28 +137,32 @@ def seed_pool(length: int, window: str = WINDOW_FULL) -> list[int]:
     return list(range(first, last + 1))
 
 
+def window_starts(length: int, window: str) -> list[int]:
+    """Start positions a seed search tries: the window's own, then the full
+    window's others, so a COTS window that runs dry widens to the full one.
+    A window's starts are always the full window's last ones."""
+    full, own = seed_pool(length), seed_pool(length, window)
+    return own + full[: len(full) - len(own)]
+
+
 def find_suitable_seed(
     hi: np.ndarray,
     lo: np.ndarray,
     c: int,
     max_tests: int = 96,
     rng: np.random.Generator | None = None,
-    window: str = WINDOW_FULL,
 ) -> tuple[SeedSpec | None, SeedSearchStats]:
-    """Draw start positions without replacement until a suitable seed
-    appears for the tags with ID halves (hi, lo).
+    """Draw start positions of the full window without replacement until a
+    suitable seed appears for the tags with ID halves (hi, lo).
 
-    A COTS window that runs dry is widened to the full window before giving
-    up; exhaustion is reported in the stats, not raised.
+    Exhaustion is reported in the stats, not raised.
     """
     rng = rng if rng is not None else np.random.default_rng()
     n = len(hi)
     L = mod_hash_width(n)
     thr = selection_threshold(c)
 
-    starts = seed_pool(L, window)
-    if window == WINDOW_COTS:
-        starts += [s for s in seed_pool(L, WINDOW_FULL) if s not in set(starts)]
+    starts = seed_pool(L)
     order = rng.permutation(len(starts))
 
     tests = 0

@@ -87,9 +87,23 @@ class Population:
         return self.hi[a:b], self.lo[a:b]
 
 
+def _lexsort_by_key(key: np.ndarray, keys: tuple[np.ndarray, ...]) -> np.ndarray:
+    """np.lexsort(keys) from one unstable argsort of the uint64 `key`, which
+    must be non-decreasing in that order; only the elements of runs of equal
+    keys are lexsorted, taken in index order so the result stays stable."""
+    order = np.argsort(key)
+    k = key[order]
+    eq = k[1:] == k[:-1]
+    tied = np.r_[eq, False] | np.r_[False, eq]
+    sub = np.sort(order[tied])
+    order[tied] = sub[np.lexsort(tuple(a[sub] for a in keys))]
+    return order
+
+
 def _first_occurrences(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Mask keeping the first (lowest-index) occurrence of every (hi, lo) pair."""
-    order = np.lexsort((lo, hi))  # stable: equal IDs stay in index order
+    """Mask keeping the first (lowest-index) occurrence of every (hi, lo) pair,
+    from IDs sorted on hi with only runs of equal high halves lexsorted."""
+    order = _lexsort_by_key(hi, (lo, hi))
     h, l = hi[order], lo[order]
     keep = np.ones(len(hi), dtype=bool)
     keep[order[1:][(h[1:] == h[:-1]) & (l[1:] == l[:-1])]] = False
@@ -113,9 +127,13 @@ def random_ids(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray
 
 def _category_order(hi: np.ndarray, lo: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     """Permutation sorting IDs dealt to categories in draw order (sizes[i]
-    to category i) by (category, ID)."""
-    category = np.repeat(np.arange(len(sizes)), sizes)
-    return np.lexsort((lo, hi, category))
+    to category i) by (category, ID): one sort of the category packed above
+    hi >> d (d > 0 only past 2^16 categories, so the key fits 64 bits), then
+    a lexsort by (category, hi, lo) of only the runs of equal keys."""
+    category = np.repeat(np.arange(len(sizes), dtype=np.uint64), sizes)
+    d = max(0, (len(sizes) - 1).bit_length() - 16)
+    key = (category << np.uint64(_HALF_BITS - d)) | (hi >> np.uint64(d))
+    return _lexsort_by_key(key, (lo, hi, category))
 
 
 def halves_to_ids(hi: np.ndarray, lo: np.ndarray) -> list[int]:

@@ -29,7 +29,6 @@ import numpy as np
 from .errors import ProtocolError
 from .hashing import (
     SeedSpec,
-    WINDOW_FULL,
     find_suitable_seed,
     ids_to_halves,
     mod_hash_width,
@@ -75,15 +74,8 @@ class RoundOutcome:
 @dataclass
 class CostLedger:
     bits_reader_to_tag: int = 0
-    select_commands: int = 0
     frames: int = 0
     payload_bits: int = 0
-
-    def add(self, other: "CostLedger"):
-        self.bits_reader_to_tag += other.bits_reader_to_tag
-        self.select_commands += other.select_commands
-        self.frames += other.frames
-        self.payload_bits += other.payload_bits
 
     def seconds(self, timing) -> float:
         return timing.transmission_time(self.bits_reader_to_tag)
@@ -100,27 +92,19 @@ def optc1_round(
     lo: np.ndarray,
     c: int,
     rng: np.random.Generator,
-    window: str = WINDOW_FULL,
-    seed_spec: SeedSpec | None = None,
 ) -> RoundOutcome:
     """Coarse stage for one category, given its tags' ID halves (hi, lo):
     broadcast a suitable seed, tags flip a Bernoulli coin via the threshold
     rule.  Only the tags it selects become `Tag` objects, in the Selected
-    state; the rest stay Unacknowledged IDs.  `seed_spec` forces a seed
-    (testing hook); otherwise a suitable one is searched for.
+    state; the rest stay Unacknowledged IDs.
     """
     n = len(hi)
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
 
-    tests = 0
+    seed_spec, stats = find_suitable_seed(hi, lo, c, rng=rng)
     if seed_spec is None:
-        seed_spec, stats = find_suitable_seed(hi, lo, c, rng=rng, window=window)
-        tests = stats.tests
-        if seed_spec is None:
-            raise ProtocolError(
-                f"no suitable seed for n={n}, c={c} after {stats.tests} tests"
-            )
+        raise ProtocolError(f"no suitable seed for n={n}, c={c} after {stats.tests} tests")
 
     hashes = substring_values(hi, lo, seed_spec) % np.uint64(n)
     positions = np.flatnonzero(hashes <= selection_threshold(c))
@@ -134,7 +118,7 @@ def optc1_round(
         iterations=1,
         bits_sent=optc1_header_bits(n, c),
         payload_bits=0,
-        seed_tests=tests,
+        seed_tests=stats.tests,
         pool=pool,
         positions=positions,
     )
@@ -176,15 +160,15 @@ def refine_frame_length(c: int, needed: int) -> int:
     return needed + math.ceil(3.0 * math.sqrt(c))
 
 
-def refine_seed(c: int, iteration: int, window: str = WINDOW_FULL) -> SeedSpec:
+def refine_seed(c: int, iteration: int) -> SeedSpec:
     """Seed of refinement iteration `iteration` (1-based), which reader and
     tags both derive from the iteration index.  One substring width serves
     the whole stage (sized for its longest, first frame); starts advance by
-    that width around the window's start positions, so consecutive
+    that width around the ID's start positions, so consecutive
     iterations hash disjoint or barely overlapping substrings and, as a
     width of at most 48 bits leaves more starts than that, never share one."""
     L = mod_hash_width(refine_frame_length(c, c))
-    starts = seed_pool(L, window) or seed_pool(L, WINDOW_FULL)
+    starts = seed_pool(L)
     return SeedSpec(start=starts[(iteration - 1) * L % len(starts)], length=L)
 
 
@@ -197,7 +181,6 @@ def optc2_round(
     c: int,
     *,
     iteration_cap: int | None = None,
-    window: str = WINDOW_FULL,
 ) -> RoundOutcome:
     """Refinement stage: iterate seed -> hash -> frame -> promote until
     exactly c tags are Ready, then demote the remainder to Unselected.
@@ -224,7 +207,7 @@ def optc2_round(
         iterations += 1
         needed = c - len(ready)
         f = refine_frame_length(c, needed)
-        seed = refine_seed(c, iterations, window)
+        seed = refine_seed(c, iterations)
         slots = (substring_values(hi, lo, seed) % np.uint64(f)).astype(np.int64)
         frame = build_frame(slots, needed=needed, length=f)
         ones = np.flatnonzero(frame.bits)
@@ -272,20 +255,19 @@ def run_optc(
     population: Population,
     timing,
     rng: np.random.Generator,
-    window: str = WINDOW_FULL,
 ) -> tuple[list[RoundOutcome], CostLedger]:
     """Full protocol: K coarse rounds, then K refinement rounds."""
     ledger = CostLedger()
     coarse: list[RoundOutcome] = []
     for spec in population.categories:
         hi, lo = population.halves(spec.k)
-        out = optc1_round(hi, lo, spec.c, rng, window=window)
+        out = optc1_round(hi, lo, spec.c, rng)
         coarse.append(out)
         ledger.bits_reader_to_tag += out.bits_sent
 
     outcomes = []
     for spec, first in zip(population.categories, coarse):
-        out = optc2_round(first.pool, spec.c, window=window)
+        out = optc2_round(first.pool, spec.c)
         out.seed_tests = first.seed_tests
         out.bits_sent += first.bits_sent
         outcomes.append(out)

@@ -10,6 +10,7 @@ Pointer(16) + Length(8) + Mask(mask length) bits.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,11 +19,10 @@ from .errors import ProtocolError
 from .hashing import (
     SeedSpec,
     WINDOW_COTS,
-    WINDOW_FULL,
-    seed_pool,
     selection_threshold,
     substring_values,
     suitable_from_count,
+    window_starts,
 )
 from .population import Population, halves_to_ids
 
@@ -167,14 +167,11 @@ def scaled_coarse_threshold(n: int, c: int, width: int) -> int:
     return min(tau, (1 << width) - 1)
 
 
-def _draw_windows(length: int, rng: np.random.Generator, window: str) -> list[SeedSpec]:
-    starts = seed_pool(length, window)
-    if window == WINDOW_COTS:
-        extra = set(starts)
-        starts = starts + [s for s in seed_pool(length, WINDOW_FULL) if s not in extra]
-    if not starts:
-        raise ProtocolError(f"no {length}-bit substring window available")
-    return [SeedSpec(start=int(s), length=length) for s in np.array(starts)[rng.permutation(len(starts))]]
+def _draw_windows(length: int, rng: np.random.Generator, window: str) -> Iterator[SeedSpec]:
+    """The window's seeds in random order, each built when the search reaches it."""
+    starts = window_starts(length, window)
+    for i in rng.permutation(len(starts)):
+        yield SeedSpec(start=starts[i], length=length)
 
 
 def run_impl_category(

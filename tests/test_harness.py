@@ -2,7 +2,7 @@ import os
 
 import pytest
 
-from rfid_sampler import ConfigurationError, load_config
+from rfid_sampler import ConfigurationError, cli, load_config
 from rfid_sampler.cli import main
 from rfid_sampler.harness import (
     CSV_COLUMNS,
@@ -149,6 +149,16 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "teleport"])
         assert exc.value.code == 2
+
+    def test_handler_key_error_is_not_a_config_error(self, monkeypatch):
+        # A KeyError from inside a command is a bug, not bad configuration,
+        # so it must surface rather than exit 2.
+        def broken(args):
+            raise KeyError("internal")
+
+        monkeypatch.setattr(cli, "cmd_bounds", broken)
+        with pytest.raises(KeyError):
+            main(["bounds", "--k", "100", "--c", "10"])
 
     def test_selgen_command(self, capsys):
         assert main(["selgen", "--tau", "5", "--bits", "3"]) == 0

@@ -14,6 +14,7 @@ from rfid_sampler.hashing import (
     selection_threshold,
     substring_values,
     suitable_upper,
+    window_starts,
 )
 
 
@@ -93,6 +94,16 @@ def test_seed_pool_windows():
     assert seed_pool(4) == list(range(1, 94))
     assert seed_pool(16, "cots") == [81]
     assert seed_pool(10, "cots") == list(range(81, 88))
+    # search order: the COTS starts, then the rest of the full window
+    for L in (4, 10, 16, 17, 26):
+        full = seed_pool(L)
+        cots = seed_pool(L, "cots")
+        starts = window_starts(L, "cots")
+        assert starts[:len(cots)] == cots
+        assert sorted(starts) == full and len(set(starts)) == len(starts)
+        assert window_starts(L, "full") == full
+    assert window_starts(16, "cots") == [81] + list(range(1, 81))
+    assert window_starts(17, "cots") == list(range(1, 81))  # empty COTS pool
 
 
 def test_mod_hash_width_padding():

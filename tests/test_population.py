@@ -10,7 +10,12 @@ from rfid_sampler import (
     mark_missing,
     run_optc,
 )
-from rfid_sampler.population import _category_order, halves_to_ids, random_ids
+from rfid_sampler.population import (
+    _category_order,
+    _first_occurrences,
+    halves_to_ids,
+    random_ids,
+)
 
 
 def test_sizes_and_partition():
@@ -162,14 +167,38 @@ def test_desk_scale_cap():
         generate_population([(1 << 19, 1), ((1 << 19) + 1, 5)], rng_seed=4)
 
 
+def _first_occurrences_by_lexsort(hi, lo):
+    """The two-key lexsort the sort in `_first_occurrences` must reproduce."""
+    order = np.lexsort((lo, hi))
+    h, l = hi[order], lo[order]
+    keep = np.ones(len(hi), dtype=bool)
+    keep[order[1:][(h[1:] == h[:-1]) & (l[1:] == l[:-1])]] = False
+    return keep
+
+
 def test_category_order_matches_full_sort():
-    # Few high halves, so IDs of one category share them and the order has
-    # separate them by the low halves.
     rng = np.random.default_rng(3)
+    # Few high halves, so IDs of one category share them and the order has
+    # to separate them by the low halves.
     sizes = rng.integers(1, 40, size=6)
     hi = rng.integers(0, 4, size=sizes.sum(), dtype=np.uint64) << np.uint64(46)
     lo = rng.integers(0, 1 << 48, size=sizes.sum(), dtype=np.uint64)
-    category = np.repeat(np.arange(len(sizes)), sizes).tolist()
-    ids = halves_to_ids(hi, lo)
-    order = _category_order(hi, lo, sizes).tolist()
-    assert [(category[i], ids[i]) for i in order] == sorted(zip(category, ids))
+    cases = [(sizes, hi, lo)]
+    # IDs from a tiny alphabet: long runs of equal high halves, and repeated
+    # (hi, lo) pairs inside a category.
+    sizes = rng.integers(1, 40, size=6)
+    cases.append((sizes, *rng.integers(0, 3, size=(2, sizes.sum()), dtype=np.uint64)))
+    # Past 2^16 categories the packed sort key drops the low bits of hi, so
+    # high halves that differ only there tie in the key.
+    sizes = rng.integers(1, 3, size=(1 << 17) + 3)
+    cases.append((sizes, *rng.integers(0, 8, size=(2, sizes.sum()), dtype=np.uint64)))
+
+    for sizes, hi, lo in cases:
+        category = np.repeat(np.arange(len(sizes)), sizes)
+        order = _category_order(hi, lo, sizes)
+        assert np.array_equal(order, np.lexsort((lo, hi, category)))
+        ids = halves_to_ids(hi, lo)
+        assert [(category[i], ids[i]) for i in order.tolist()] == sorted(
+            zip(category.tolist(), ids)
+        )
+        assert np.array_equal(_first_occurrences(hi, lo), _first_occurrences_by_lexsort(hi, lo))

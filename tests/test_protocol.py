@@ -162,7 +162,6 @@ class TestRefineStage:
             seeds = [refine_seed(c, i) for i in range(1, 200)]
             assert len({s.length for s in seeds}) == 1
             assert all(a.start != b.start for a, b in zip(seeds, seeds[1:]))
-            assert refine_seed(c, 1, "cots") == refine_seed(c, 1)  # empty window widens
         assert refine_frame_length(50, 7) == 7 + 22
 
     def test_rejects_undersized_pool(self):
