@@ -9,7 +9,7 @@ exactly c tags hold the orders 1..c.
 
 import numpy as np
 
-from rfid_sampler import TagState, generate_population, optc1_round, optc2_round
+from rfid_sampler import generate_population, optc1_round, optc2_round
 
 N, C = 40, 6
 rng = np.random.default_rng(2)
@@ -18,12 +18,12 @@ pop = generate_population([(N, C)], rng_seed=14)
 hi, lo = pop.halves(1)  # the category's IDs as high and low 48-bit halves
 
 coarse = optc1_round(hi, lo, C, rng)
-selected = coarse.pool  # only the selected tags become Tag objects
+selected = coarse.positions  # where the selected tags sit in hi and lo
 print(f"category of {N} tags, want c = {C}")
 print(f"stage 1: tested {coarse.seed_tests} seed(s), "
       f"{len(selected)} tags selected, header {coarse.bits_sent} bits")
 
-refined = optc2_round(selected, C)
+refined = optc2_round((hi[selected], lo[selected]), C)
 print(f"stage 2: {refined.iterations} frame(s), "
       f"{refined.payload_bits} frame bits + stop bit = {refined.bits_sent} bits total")
 
@@ -31,5 +31,5 @@ print("\nreporting order -> tag ID")
 for tag_id, order in refined.ready:
     print(f"  {order:>2}  {tag_id:024x}")
 
-leftover = [t for t in selected if t.state is TagState.UNSELECTED]
-print(f"\n{len(leftover)} selected tags were demoted once the quota filled")
+leftover = len(selected) - len(refined.ready)
+print(f"\n{leftover} selected tags were demoted once the quota filled")

@@ -42,7 +42,6 @@ from .population import (
 )
 from .protocol import (
     CostLedger,
-    FrameVector,
     RoundOutcome,
     build_frame,
     optc1_round,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .population import ID_BITS, Tag, _HALF_BITS
+from .population import ID_BITS, _HALF_BITS
 
 # Substring windows: the idealized full ID, or the last-16-bit block that
 # real EPCs are known to keep uniformly random.
@@ -43,6 +43,7 @@ class SeedSearchStats:
     tests: int
     found: bool
     selected_count: int
+    seed: SeedSpec | None = None  # the accepted seed, None on exhaustion
 
 
 def hash_width(n: int) -> int:
@@ -82,7 +83,9 @@ def hash_mod(id: int, seed: SeedSpec, m: int) -> int:
 
 
 def ids_to_halves(ids) -> tuple[np.ndarray, np.ndarray]:
-    """Split python-int IDs into (high 48 bits, low 48 bits) uint64 arrays."""
+    """Split python-int IDs into (high 48 bits, low 48 bits) uint64 arrays.
+
+    No package code calls it; `benchmarks/spans.py` still wraps this name."""
     hi = np.fromiter((i >> _HALF_BITS for i in ids), dtype=np.uint64, count=len(ids))
     lo = np.fromiter(
         (i & ((1 << _HALF_BITS) - 1) for i in ids), dtype=np.uint64, count=len(ids)
@@ -106,10 +109,6 @@ def substring_values(hi: np.ndarray, lo: np.ndarray, seed: SeedSpec) -> np.ndarr
     return ((hi_part << np.uint64(lo_bits)) | (lo >> np.uint64(_HALF_BITS - lo_bits))) & mask
 
 
-def _as_ids(tags) -> list[int]:
-    return [t.id if isinstance(t, Tag) else int(t) for t in tags]
-
-
 def selected_count_from_hashes(hashes, c: int) -> int:
     thr = selection_threshold(c)
     return int(sum(1 for h in hashes if h <= thr))
@@ -119,9 +118,8 @@ def suitable_from_count(count: int, c: int) -> bool:
     return c <= count <= suitable_upper(c)
 
 
-def is_suitable(tags, seed: SeedSpec, c: int) -> tuple[bool, int]:
-    """Apply the coarse threshold rule under `seed`; count selected tags."""
-    ids = _as_ids(tags)
+def is_suitable(ids, seed: SeedSpec, c: int) -> tuple[bool, int]:
+    """Apply the coarse threshold rule to `ids` under `seed`; count selected."""
     n = len(ids)
     hashes = [hash_mod(i, seed, n) for i in ids]
     count = selected_count_from_hashes(hashes, c)
@@ -151,11 +149,13 @@ def find_suitable_seed(
     c: int,
     max_tests: int = 96,
     rng: np.random.Generator | None = None,
-) -> tuple[SeedSpec | None, SeedSearchStats]:
+) -> tuple[np.ndarray | None, SeedSearchStats]:
     """Draw start positions of the full window without replacement until a
-    suitable seed appears for the tags with ID halves (hi, lo).
+    suitable seed appears for the tags with ID halves (hi, lo).  Returns the
+    tags' hashes mod n under that seed and the search statistics, which
+    name the seed.
 
-    Exhaustion is reported in the stats, not raised.
+    Exhaustion is reported in the stats (hashes and seed None), not raised.
     """
     rng = rng if rng is not None else np.random.default_rng()
     n = len(hi)
@@ -176,7 +176,7 @@ def find_suitable_seed(
         tests += 1
         last_count = count
         if suitable_from_count(count, c):
-            return seed, SeedSearchStats(tests=tests, found=True, selected_count=count)
+            return vals, SeedSearchStats(tests=tests, found=True, selected_count=count, seed=seed)
     return None, SeedSearchStats(tests=tests, found=False, selected_count=last_count)
 
 
@@ -199,7 +199,7 @@ def seed_trial_statistics(n: int, c: int, trials: int, rng_seed: int) -> dict:
         # duplicate IDs are vanishingly unlikely at 96 bits, so the array
         # path skips the dedup pass that generate_population performs
         halves = rng.integers(0, 1 << _HALF_BITS, size=(n, 2), dtype=np.uint64)
-        seed, stats = find_suitable_seed(halves[:, 0], halves[:, 1], c, rng=rng)
+        _, stats = find_suitable_seed(halves[:, 0], halves[:, 1], c, rng=rng)
         if not stats.found:
             raise RuntimeError(f"seed pool exhausted for n={n}, c={c}")
         tests_seen.append(stats.tests)

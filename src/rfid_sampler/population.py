@@ -6,8 +6,8 @@ within a population (collisions are resolved by redraw).
 
 A population is stored as arrays: each ID as its high and low 48-bit halves,
 categories contiguous and ascending by ID inside each, with CSR offsets
-marking where each category starts.  Per-tag `Tag` objects carry protocol
-state and are built only where a stage needs them.
+marking where each category starts.  The protocol stages work on these
+arrays; per-tag `Tag` objects are built only by `category_tags`.
 """
 
 from __future__ import annotations

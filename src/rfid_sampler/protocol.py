@@ -2,6 +2,11 @@
 frame-vector refinement that promotes exactly c tags to Ready with unique
 reporting orders.
 
+Both stages run on arrays.  The coarse stage reports the positions of the
+tags it selects; the refinement stage keeps one counter per row of their ID
+halves, and each frame (`build_frame`, reader side; `tag_apply_frame`, tag
+side) moves the rows in marked singleton slots out of the pool as Ready.
+
 Cost accounting keeps two views per round:
 
 * ``bits_sent``    -- the explicit ledger: the frame bits plus a 1-bit stop
@@ -22,7 +27,7 @@ implementation of the design above 2.1x there (closed form 2.381x).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,44 +35,24 @@ from .errors import ProtocolError
 from .hashing import (
     SeedSpec,
     find_suitable_seed,
-    ids_to_halves,
     mod_hash_width,
     seed_pool,
     selection_threshold,
     substring_values,
     suitable_from_count,
 )
-from .population import Population, Tag, TagState, make_tags
-
-
-@dataclass
-class FrameVector:
-    """Broadcast bit vector marking the singleton slots chosen this round."""
-
-    bits: np.ndarray  # uint8 array of 0/1
-
-    def __len__(self):
-        return len(self.bits)
-
-    def popcount(self) -> int:
-        return int(self.bits.sum())
-
-    def prefix_popcount(self, i: int) -> int:
-        """Number of ones in bits[0..i] inclusive."""
-        return int(self.bits[: i + 1].sum())
+from .population import Population, halves_to_ids
 
 
 @dataclass
 class RoundOutcome:
-    selected: list[int]                 # IDs that entered the Selected state
-    ready: list[tuple[int, int]]        # (ID, reporting order)
+    ready: list[tuple[int, int]]        # (ID, reporting order), by order
     iterations: int = 0
     bits_sent: int = 0
     payload_bits: int = 0
     seed_tests: int = 0
-    # Coarse stage only: the Selected tags it hands to the refinement stage,
-    # and their positions in the category's ID arrays.
-    pool: list[Tag] = field(default_factory=list)
+    # Coarse stage: positions of the Selected tags in the category's ID
+    # arrays.  Refinement stage: pool rows of the Ready tags, by order.
     positions: np.ndarray | None = None
 
 
@@ -95,39 +80,32 @@ def optc1_round(
 ) -> RoundOutcome:
     """Coarse stage for one category, given its tags' ID halves (hi, lo):
     broadcast a suitable seed, tags flip a Bernoulli coin via the threshold
-    rule.  Only the tags it selects become `Tag` objects, in the Selected
-    state; the rest stay Unacknowledged IDs.
-    """
+    rule.  The outcome's `positions` index the tags it selects."""
     n = len(hi)
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
 
-    seed_spec, stats = find_suitable_seed(hi, lo, c, rng=rng)
-    if seed_spec is None:
+    hashes, stats = find_suitable_seed(hi, lo, c, rng=rng)
+    if hashes is None:
         raise ProtocolError(f"no suitable seed for n={n}, c={c} after {stats.tests} tests")
 
-    hashes = substring_values(hi, lo, seed_spec) % np.uint64(n)
     positions = np.flatnonzero(hashes <= selection_threshold(c))
     if not suitable_from_count(len(positions), c):
         raise ProtocolError(f"seed selected {len(positions)} tags, outside bounds")
-    pool = make_tags(hi[positions], lo[positions], TagState.SELECTED)
 
     return RoundOutcome(
-        selected=[t.id for t in pool],
         ready=[],
         iterations=1,
         bits_sent=optc1_header_bits(n, c),
-        payload_bits=0,
         seed_tests=stats.tests,
-        pool=pool,
         positions=positions,
     )
 
 
-def build_frame(slot_occupancy, needed: int, length: int | None = None) -> FrameVector:
-    """Left-to-right scan: set a slot's bit iff it holds exactly one tag and
-    fewer than `needed` ones have been placed so far.  The frame has
-    `length` slots (default: one per tag)."""
+def build_frame(slot_occupancy, needed: int, length: int | None = None) -> np.ndarray:
+    """Reader side: the frame's bits, scanned left to right, with a slot's
+    bit set iff it holds exactly one tag and fewer than `needed` ones have
+    been placed so far.  The frame has `length` slots (default: one per tag)."""
     if needed < 1:
         raise ValueError("needed must be >= 1")
     slots = np.asarray(slot_occupancy, dtype=np.int64)
@@ -137,21 +115,24 @@ def build_frame(slot_occupancy, needed: int, length: int | None = None) -> Frame
     counts = np.bincount(slots, minlength=m)
     bits = np.zeros(m, dtype=np.uint8)
     bits[np.flatnonzero(counts == 1)[:needed]] = 1
-    return FrameVector(bits=bits)
+    return bits
 
 
-def tag_apply_frame(tag: Tag, frame: FrameVector, slot: int) -> Tag:
-    """Tag-side frame handling: promote to Ready with order cnt+prefix-ones,
-    or accumulate the frame's popcount and stay Selected.  A slot past the
-    end of a truncated frame reads as 0."""
-    if tag.state is not TagState.SELECTED:
-        raise ProtocolError(f"tag {tag.id:#x} is not in the selected state")
-    if slot < len(frame) and frame.bits[slot]:
-        tag.cnt += frame.prefix_popcount(slot)
-        tag.state = TagState.READY
-    else:
-        tag.cnt += frame.popcount()
-    return tag
+def tag_apply_frame(
+    cnt: np.ndarray, bits: np.ndarray, slots: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Tag side, over a pool of Selected tags with counters `cnt` hashed to
+    `slots`: a tag whose slot holds a one becomes Ready, its counter raised
+    by the ones up to and including its slot; every other tag adds the
+    frame's ones and stays Selected.  A slot past the end of a truncated
+    frame reads as 0.  Returns (ready mask, new counters)."""
+    ones_through = np.cumsum(bits, dtype=np.int64)
+    ready = np.zeros(len(slots), dtype=bool)
+    inside = slots < len(bits)
+    ready[inside] = bits[slots[inside]] == 1
+    heard = np.full(len(slots), ones_through[-1])
+    heard[ready] = ones_through[slots[ready]]
+    return ready, cnt + heard
 
 
 def refine_frame_length(c: int, needed: int) -> int:
@@ -177,77 +158,77 @@ def default_iteration_cap(c: int) -> int:
 
 
 def optc2_round(
-    selected: list[Tag],
+    pool: tuple[np.ndarray, np.ndarray],
     c: int,
     *,
     iteration_cap: int | None = None,
 ) -> RoundOutcome:
-    """Refinement stage: iterate seed -> hash -> frame -> promote until
-    exactly c tags are Ready, then demote the remainder to Unselected.
-    Seeds and frame lengths are derived on both sides, so only frame bits
-    and the final stop bit are broadcast, and no randomness is drawn."""
-    if len(selected) < c:
-        raise ValueError(f"selected set of {len(selected)} cannot yield c={c}")
-    for t in selected:
-        if t.state is not TagState.SELECTED:
-            raise ProtocolError(f"tag {t.id:#x} is not in the selected state")
+    """Refinement stage over the Selected tags' ID halves `pool` = (hi, lo):
+    iterate seed -> hash -> frame -> promote until exactly c tags are Ready;
+    the rest end Unselected.  Seeds and frame lengths are derived on both
+    sides, so only frame bits and the final stop bit are broadcast, and no
+    randomness is drawn.  The input arrays are not modified."""
+    hi, lo = pool
+    if len(hi) < c:
+        raise ValueError(f"selected set of {len(hi)} cannot yield c={c}")
     cap = iteration_cap if iteration_cap is not None else default_iteration_cap(c)
 
-    pool = list(selected)
-    hi, lo = ids_to_halves([t.id for t in pool])
-    ready: list[tuple[int, int]] = []
+    rows = np.arange(len(hi))  # pool indices of the tags still Selected
+    cnt = np.zeros(len(hi), dtype=np.int64)
+    promoted: list[np.ndarray] = []  # each iteration's Ready rows, by order
+    orders: list[np.ndarray] = []
+    done = 0
     payload = 0
     iterations = 0
-    while len(ready) < c:
+    while done < c:
         if iterations >= cap:
             raise ProtocolError(
                 f"refinement did not converge within {cap} iterations "
-                f"(|ready|={len(ready)}, c={c})"
+                f"(|ready|={done}, c={c})"
             )
         iterations += 1
-        needed = c - len(ready)
+        needed = c - done
         f = refine_frame_length(c, needed)
         seed = refine_seed(c, iterations)
         slots = (substring_values(hi, lo, seed) % np.uint64(f)).astype(np.int64)
-        frame = build_frame(slots, needed=needed, length=f)
-        ones = np.flatnonzero(frame.bits)
+        bits = build_frame(slots, needed=needed, length=f)
+        ones = np.flatnonzero(bits)
         if len(ones) == needed:
             # The tags stop listening at the needed-th one, so the frame
             # ends there; otherwise all f bits go out.
-            frame = FrameVector(bits=frame.bits[: ones[-1] + 1])
-        payload += len(frame)
+            bits = bits[: ones[-1] + 1]
+        payload += len(bits)
 
-        # Reader-side prediction of the order each marked slot hands out,
-        # used to cross-check the tag-side counters below.
-        predicted = {int(s): len(ready) + rank + 1 for rank, s in enumerate(ones)}
+        ready, cnt = tag_apply_frame(cnt, bits, slots)
+        # Reader-side cross-check: the marked slot of rank i hands out the
+        # order done + i + 1, which each promoted tag's counter must equal.
+        heard = cnt[ready]
+        predicted = done + np.searchsorted(ones, slots[ready]) + 1
+        if not np.array_equal(heard, predicted):
+            bad = np.flatnonzero(heard != predicted)[0]
+            raise ProtocolError(
+                f"counter mismatch on pool row {rows[ready][bad]}: "
+                f"cnt={heard[bad]}, reader predicts {predicted[bad]}"
+            )
+        by_order = np.argsort(heard)
+        promoted.append(rows[ready][by_order])
+        orders.append(heard[by_order])
+        done += len(heard)
+        keep = ~ready
+        rows, hi, lo, cnt = rows[keep], hi[keep], lo[keep], cnt[keep]
 
-        keep = np.ones(len(pool), dtype=bool)
-        for i, (tag, slot) in enumerate(zip(pool, slots.tolist())):
-            tag_apply_frame(tag, frame, slot)
-            if tag.state is TagState.READY:
-                if tag.cnt != predicted.get(slot):
-                    raise ProtocolError(
-                        f"counter mismatch on tag {tag.id:#x}: "
-                        f"cnt={tag.cnt}, reader predicts {predicted.get(slot)}"
-                    )
-                ready.append((tag.id, tag.cnt))
-                keep[i] = False
-        pool = [t for t, k in zip(pool, keep) if k]
-        hi, lo = hi[keep], lo[keep]
-
-    for tag in pool:
-        tag.state = TagState.UNSELECTED
-    bits_sent = payload + 1  # stop broadcast
-
-    orders = sorted(o for _, o in ready)
-    if orders != list(range(1, c + 1)):
+    order = np.concatenate(orders)
+    if not np.array_equal(order, np.arange(1, c + 1)):
         raise ProtocolError(f"reporting orders are not a permutation of 1..{c}")
+    positions = np.concatenate(promoted)
+    hi, lo = pool
+    ids = halves_to_ids(hi[positions], lo[positions])
     return RoundOutcome(
-        selected=[t.id for t in selected],
-        ready=sorted(ready, key=lambda x: x[1]),
+        ready=list(zip(ids, order.tolist())),
         iterations=iterations,
-        bits_sent=bits_sent,
+        bits_sent=payload + 1,  # stop broadcast
         payload_bits=payload,
+        positions=positions,
     )
 
 
@@ -267,7 +248,8 @@ def run_optc(
 
     outcomes = []
     for spec, first in zip(population.categories, coarse):
-        out = optc2_round(first.pool, spec.c)
+        hi, lo = population.halves(spec.k)
+        out = optc2_round((hi[first.positions], lo[first.positions]), spec.c)
         out.seed_tests = first.seed_tests
         out.bits_sent += first.bits_sent
         outcomes.append(out)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .analysis import mu, rho, seed_success_lower_bound
 from .hashing import seed_trial_statistics
-from .population import TagState, make_tags, random_ids
+from .population import random_ids
 from .protocol import optc1_round, optc2_round
 from .selgen import command_count, selgen_filters
 
@@ -34,9 +34,9 @@ def sample_once(n: int, c: int, rng: np.random.Generator) -> list[tuple[int, int
     the sampled tags, indices by position in the generated list."""
     hi, lo = random_ids(n, rng)
     coarse = optc1_round(hi, lo, c, rng)
-    out = optc2_round(coarse.pool, c)
-    pos = dict(zip(coarse.selected, coarse.positions.tolist()))
-    return [(pos[tid], order) for tid, order in out.ready]
+    pos = coarse.positions
+    out = optc2_round((hi[pos], lo[pos]), c)
+    return list(zip(pos[out.positions].tolist(), (o for _, o in out.ready)))
 
 
 def suite_seeds(trials: int = 1000, rng_seed: int = 2024) -> list[Check]:
@@ -123,8 +123,7 @@ def suite_cost(trials: int = 4000, rng_seed: int = 31) -> list[Check]:
         total = 0
         for _ in range(trials):
             l = int(rng.integers(c, l_max + 1))
-            tags = make_tags(*random_ids(l, rng), TagState.SELECTED)
-            out = optc2_round(tags, c)
+            out = optc2_round(random_ids(l, rng), c)
             total += out.payload_bits
         ratio = (total / trials) / (math.e * c)
         checks.append(Check(

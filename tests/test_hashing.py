@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from rfid_sampler import SeedSpec, find_suitable_seed, hash_mod, is_suitable, substring_hash
 from rfid_sampler.hashing import (
-    ids_to_halves,
     mod_hash_width,
     seed_pool,
     seed_trial_statistics,
@@ -16,6 +15,13 @@ from rfid_sampler.hashing import (
     suitable_upper,
     window_starts,
 )
+
+
+def _halves(ids):
+    """(high 48 bits, low 48 bits) uint64 arrays of Python-int IDs."""
+    hi = np.array([i >> 48 for i in ids], dtype=np.uint64)
+    lo = np.array([i & ((1 << 48) - 1) for i in ids], dtype=np.uint64)
+    return hi, lo
 
 
 def test_seed_spec_bounds():
@@ -54,7 +60,7 @@ def test_vectorized_substring_matches_scalar(ids, start, length):
         if length > 48:
             return
     seed = SeedSpec(start=start, length=length)
-    hi, lo = ids_to_halves(ids)
+    hi, lo = _halves(ids)
     vec = substring_values(hi, lo, seed)
     for tag_id, v in zip(ids, vec.tolist()):
         assert substring_hash(tag_id, seed) == v
@@ -116,10 +122,14 @@ def test_find_suitable_seed_deterministic():
     rng1 = np.random.default_rng(7)
     rng2 = np.random.default_rng(7)
     ids = [int(x) for x in np.random.default_rng(0).integers(0, 1 << 63, 200)]
-    hi, lo = ids_to_halves(ids)
-    s1, st1 = find_suitable_seed(hi, lo, 10, rng=rng1)
-    s2, st2 = find_suitable_seed(hi, lo, 10, rng=rng2)
-    assert s1 == s2 and st1.tests == st2.tests
+    hi, lo = _halves(ids)
+    h1, st1 = find_suitable_seed(hi, lo, 10, rng=rng1)
+    h2, st2 = find_suitable_seed(hi, lo, 10, rng=rng2)
+    assert st1.seed == st2.seed and st1.tests == st2.tests
+    # the hashes handed back are the accepted seed's, reduced mod n
+    assert np.array_equal(h1, h2)
+    assert h1.tolist() == [hash_mod(i, st1.seed, len(ids)) for i in ids]
+    assert int((h1 <= selection_threshold(10)).sum()) == st1.selected_count
 
 
 def test_seed_trial_statistics_shape():

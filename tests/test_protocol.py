@@ -5,11 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tag_oracle
 from rfid_sampler import (
-    FrameVector,
     ProtocolError,
-    Tag,
-    TagState,
     build_frame,
     generate_population,
     optc1_round,
@@ -18,7 +16,8 @@ from rfid_sampler import (
 )
 from rfid_sampler import protocol
 from rfid_sampler.analysis import TimingModel
-from rfid_sampler.hashing import ids_to_halves
+from rfid_sampler.hashing import find_suitable_seed, hash_mod, selection_threshold
+from rfid_sampler.population import Tag, TagState, halves_to_ids
 from rfid_sampler.protocol import (
     optc1_header_bits,
     refine_frame_length,
@@ -28,78 +27,99 @@ from rfid_sampler.protocol import (
 from rfid_sampler.verify import sample_once
 
 
-def _tags(n, state=TagState.UNACKNOWLEDGED):
+def _ids(n):
     rng = np.random.default_rng(1234)
-    return [
-        Tag(id=int(rng.integers(0, 1 << 62)) << 30 | i, state=state)
-        for i in range(n)
-    ]
+    return [int(rng.integers(0, 1 << 62)) << 30 | i for i in range(n)]
 
 
-def _halves(tags):
-    return ids_to_halves([t.id for t in tags])
+def _halves(ids):
+    hi = np.array([i >> 48 for i in ids], dtype=np.uint64)
+    lo = np.array([i & ((1 << 48) - 1) for i in ids], dtype=np.uint64)
+    return hi, lo
+
+
+def _apply(bits, slots, cnt=None):
+    slots = np.asarray(slots, dtype=np.int64)
+    cnt = np.zeros(len(slots), dtype=np.int64) if cnt is None else np.asarray(cnt)
+    ready, cnt = tag_apply_frame(cnt, np.asarray(bits, dtype=np.uint8), slots)
+    return ready.tolist(), cnt.tolist()
 
 
 class TestFrame:
     def test_marks_singletons_left_to_right(self):
         # occupancy: slot0 single, slot1 doubled, slot3 single, slot4 doubled
-        frame = build_frame([0, 1, 1, 3, 4, 4], needed=5)
-        assert frame.bits.tolist() == [1, 0, 0, 1, 0, 0]
+        bits = build_frame([0, 1, 1, 3, 4, 4], needed=5)
+        assert bits.tolist() == [1, 0, 0, 1, 0, 0]
 
     def test_respects_needed_cap(self):
-        frame = build_frame([0, 2, 4, 4, 1], needed=2)
-        assert frame.bits.tolist() == [1, 1, 0, 0, 0]
+        bits = build_frame([0, 2, 4, 4, 1], needed=2)
+        assert bits.tolist() == [1, 1, 0, 0, 0]
 
     def test_rejects_out_of_range_slot(self):
         with pytest.raises(ValueError):
             build_frame([0, 3], needed=1)
 
     def test_no_singletons(self):
-        frame = build_frame([0, 0, 1, 1], needed=3)
-        assert frame.popcount() == 0
+        bits = build_frame([0, 0, 1, 1], needed=3)
+        assert bits.sum() == 0
 
     def test_promotion_orders_follow_prefix_ones(self):
-        frame = build_frame([0, 1, 1, 3, 4, 4], needed=5)
-        tags = _tags(6, state=TagState.SELECTED)
         slots = [0, 1, 1, 3, 4, 4]
-        for tag, slot in zip(tags, slots):
-            tag_apply_frame(tag, frame, slot)
-        assert tags[0].state is TagState.READY and tags[0].cnt == 1
-        assert tags[3].state is TagState.READY and tags[3].cnt == 2
-        for i in (1, 2, 4, 5):
-            assert tags[i].state is TagState.SELECTED
-            assert tags[i].cnt == 2  # skipped tags advance by the frame popcount
+        bits = build_frame(slots, needed=5)
+        ready, cnt = _apply(bits, slots)
+        assert ready == [True, False, False, True, False, False]
+        # promoted tags take the ones through their slot; skipped tags
+        # advance by the frame popcount
+        assert cnt == [1, 2, 2, 2, 2, 2]
+        ready, cnt = _apply(bits, slots, cnt=[4, 1, 0, 4, 3, 7])
+        assert ready == [True, False, False, True, False, False]
+        assert cnt == [5, 3, 2, 6, 5, 9]
 
     def test_explicit_length(self):
-        frame = build_frame([0, 3, 3], needed=2, length=6)
-        assert frame.bits.tolist() == [1, 0, 0, 0, 0, 0]
+        bits = build_frame([0, 3, 3], needed=2, length=6)
+        assert bits.tolist() == [1, 0, 0, 0, 0, 0]
         with pytest.raises(ValueError):
             build_frame([0, 6], needed=1, length=6)
 
     def test_slot_past_truncated_frame_reads_zero(self):
-        frame = FrameVector(bits=np.array([0, 1], dtype=np.uint8))
-        tag = _tags(1, state=TagState.SELECTED)[0]
-        tag_apply_frame(tag, frame, 5)
-        assert tag.state is TagState.SELECTED
-        assert tag.cnt == 1  # advanced by the popcount of the bits sent
+        ready, cnt = _apply([0, 1], [5, 1])
+        assert ready == [False, True]
+        assert cnt == [1, 1]  # advanced by the popcount of the bits sent
 
-    def test_promotion_requires_selected_state(self):
-        frame = build_frame([0], needed=1)
+    def test_promotion_requires_selected_state(self, monkeypatch):
+        """Only tags still Selected hear a frame: in the array stage a Ready
+        row leaves the pool before the next frame, so no tag is promoted
+        twice.  The per-tag oracle refuses a tag that is not Selected."""
         with pytest.raises(ProtocolError):
-            tag_apply_frame(_tags(1)[0], frame, 0)
+            tag_oracle.tag_apply_frame(Tag(id=1), [1], 0)
+
+        calls = []
+
+        def record(cnt, bits, slots):
+            ready, cnt = tag_apply_frame(cnt, bits, slots)
+            calls.append((len(slots), int(ready.sum())))
+            return ready, cnt
+
+        monkeypatch.setattr(protocol, "tag_apply_frame", record)
+        out = optc2_round(_halves(_ids(60)), 40)
+        assert len(calls) == out.iterations > 1
+        assert calls[0][0] == 60
+        for (size, promoted), (next_size, _) in zip(calls, calls[1:]):
+            assert next_size == size - promoted
+        assert sum(p for _, p in calls) == 40
 
 
 class TestCoarseStage:
     def test_selected_count_in_bounds(self):
-        rng = np.random.default_rng(5)
-        tags = _tags(300)
-        out = optc1_round(*_halves(tags), 20, rng)
-        assert len(out.selected) == len(out.pool)
-        assert 20 <= len(out.pool) <= 20 + 6 * math.sqrt(20)
-        # the Selected tags are exactly the tags at the reported positions
-        assert all(t.state is TagState.SELECTED for t in out.pool)
-        assert out.selected == [tags[i].id for i in out.positions]
-        assert [t.id for t in out.pool] == out.selected
+        ids = _ids(300)
+        out = optc1_round(*_halves(ids), 20, np.random.default_rng(5))
+        assert 20 <= len(out.positions) <= 20 + 6 * math.sqrt(20)
+        # the Selected tags are exactly the tags whose hash under the
+        # accepted seed clears the threshold
+        _, stats = find_suitable_seed(*_halves(ids), 20, rng=np.random.default_rng(5))
+        expected = [i for i, tag_id in enumerate(ids)
+                    if hash_mod(tag_id, stats.seed, len(ids)) <= selection_threshold(20)]
+        assert out.positions.tolist() == expected
 
     def test_header_bits(self):
         # ceil(log2(96/log2 n)) + ceil(log2 c)
@@ -108,38 +128,47 @@ class TestCoarseStage:
 
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError):
-            optc1_round(*_halves(_tags(5)), 6, np.random.default_rng(0))
+            optc1_round(*_halves(_ids(5)), 6, np.random.default_rng(0))
 
     def test_rejects_non_unacknowledged(self):
         """The coarse stage reads IDs, not tags, so no tag carrying protocol
-        state can enter it: the tags it hands over are created afresh,
-        Selected with cnt 0."""
-        out = optc1_round(*_halves(_tags(10)), 2, np.random.default_rng(0))
-        assert all(t.state is TagState.SELECTED and t.cnt == 0 for t in out.pool)
+        state can enter it: it promotes nobody, hands over positions into
+        the ID arrays, and leaves those arrays as they were."""
+        hi, lo = _halves(_ids(10))
+        before = hi.copy(), lo.copy()
+        out = optc1_round(hi, lo, 2, np.random.default_rng(0))
+        assert out.ready == []
+        assert out.positions.dtype.kind == "i"
+        assert np.all(np.diff(out.positions) > 0)
+        assert 0 <= out.positions[0] and out.positions[-1] < 10
+        assert np.array_equal(hi, before[0]) and np.array_equal(lo, before[1])
 
 
 class TestRefineStage:
     def test_exactly_c_ready_with_orders(self):
-        tags = _tags(30, state=TagState.SELECTED)
-        out = optc2_round(tags, 12)
-        ready = [t for t in tags if t.state is TagState.READY]
-        assert len(ready) == 12
-        assert sorted(t.cnt for t in ready) == list(range(1, 13))
-        assert sorted(o for _, o in out.ready) == list(range(1, 13))
-        assert all(
-            t.state is TagState.UNSELECTED for t in tags if t not in ready
-        )
+        ids = _ids(30)
+        hi, lo = _halves(ids)
+        out = optc2_round((hi, lo), 12)
+        assert len(out.ready) == 12
+        assert [o for _, o in out.ready] == list(range(1, 13))
+        assert len({i for i, _ in out.ready}) == 12
+        # positions are the Ready tags' pool rows, in reporting order
+        assert [ids[p] for p in out.positions.tolist()] == [i for i, _ in out.ready]
+        assert halves_to_ids(hi[out.positions], lo[out.positions]) == [i for i, _ in out.ready]
 
-    def test_rejects_tags_no_longer_selected(self):
-        # once refinement has moved the pool out of Selected, no round admits it
-        out = optc1_round(*_halves(_tags(10)), 2, np.random.default_rng(0))
-        optc2_round(out.pool, 2)
-        with pytest.raises(ProtocolError):
-            optc2_round(out.pool, 2)
+    def test_input_unchanged_and_repeatable(self):
+        hi, lo = _halves(_ids(40))
+        before = hi.copy(), lo.copy()
+        first = optc2_round((hi, lo), 15)
+        assert np.array_equal(hi, before[0]) and np.array_equal(lo, before[1])
+        second = optc2_round((hi, lo), 15)
+        assert first.ready == second.ready
+        assert np.array_equal(first.positions, second.positions)
+        assert (first.iterations, first.payload_bits, first.bits_sent) == (
+            second.iterations, second.payload_bits, second.bits_sent)
 
     def test_cost_fields(self):
-        tags = _tags(20, state=TagState.SELECTED)
-        out = optc2_round(tags, 8)
+        out = optc2_round(_halves(_ids(20)), 8)
         # no refinement header: the frames plus the one-bit stop broadcast
         assert out.bits_sent == out.payload_bits + 1
         assert out.payload_bits >= 8  # one set bit per promoted tag
@@ -150,12 +179,12 @@ class TestRefineStage:
         # top 19 ID bits, so these tags land in slots 0, 2 and 5.
         seed = refine_seed(2, 1)
         shift = 96 - (seed.start + seed.length - 1)
-        tags = [Tag(id=(v << shift) | 1, state=TagState.SELECTED)
-                for v in (7 * 11, 7 * 5 + 2, 7 * 3 + 5)]
-        out = optc2_round(tags, 2)
+        ids = [(v << shift) | 1 for v in (7 * 11, 7 * 5 + 2, 7 * 3 + 5)]
+        out = optc2_round(_halves(ids), 2)
         assert out.iterations == 1
         assert out.payload_bits == 3  # bits 1, 0, 1; slots 3..6 never sent
-        assert [t.state for t in tags] == [TagState.READY, TagState.READY, TagState.UNSELECTED]
+        assert out.ready == [(ids[0], 1), (ids[1], 2)]
+        assert out.positions.tolist() == [0, 1]
 
     def test_seed_schedule(self):
         for c in (1, 10, 50, 1000):
@@ -166,23 +195,20 @@ class TestRefineStage:
 
     def test_rejects_undersized_pool(self):
         with pytest.raises(ValueError):
-            optc2_round(_tags(3, state=TagState.SELECTED), 4)
+            optc2_round(_halves(_ids(3)), 4)
 
     def test_counter_mismatch_raises(self, monkeypatch):
-        def off_by_one(tag, frame, slot):
-            tag_apply_frame(tag, frame, slot)
-            tag.cnt += 1
-            return tag
+        def off_by_one(cnt, bits, slots):
+            ready, cnt = tag_apply_frame(cnt, bits, slots)
+            return ready, cnt + 1
 
         monkeypatch.setattr(protocol, "tag_apply_frame", off_by_one)
-        tags = _tags(16, state=TagState.SELECTED)
         with pytest.raises(ProtocolError, match="counter mismatch"):
-            optc2_round(tags, 8)
+            optc2_round(_halves(_ids(16)), 8)
 
     def test_iteration_cap_raises(self):
-        tags = _tags(16, state=TagState.SELECTED)
         with pytest.raises(ProtocolError):
-            optc2_round(tags, 8, iteration_cap=0)
+            optc2_round(_halves(_ids(16)), 8, iteration_cap=0)
 
 
 @given(n=st.integers(2, 120), data=st.data())
