@@ -16,11 +16,10 @@ import statistics
 
 import numpy as np
 
-from rfid_sampler import TimingModel, cost_ratio_limit, generate_population, run_optc
+from rfid_sampler import cost_ratio_limit, generate_population, run_optc
 from rfid_sampler.analysis import LOG2_E, lower_bound_bits
 from rfid_sampler.protocol import optc1_header_bits
 
-timing = TimingModel()
 K, N, TRIALS = 30, 100, 5
 
 print(f"K = {K} categories of n = {N}; asymptotic frame-bit ratio "
@@ -31,7 +30,7 @@ for c in (5, 10, 25, 50):
     for trial in range(TRIALS):
         rng = np.random.default_rng((c, trial))
         pop = generate_population([(N, c)] * K, rng_seed=trial)
-        _, ledger = run_optc(pop, timing, rng)
+        _, ledger = run_optc(pop, rng)
         lb = lower_bound_bits([c] * K)
         full.append(ledger.bits_reader_to_tag / lb)
         frames.append(ledger.payload_bits / lb)

@@ -19,10 +19,7 @@ from .errors import ConfigurationError, ProtocolError
 from .hashing import (
     SeedSpec,
     find_suitable_seed,
-    hash_mod,
-    is_suitable,
     seed_trial_statistics,
-    substring_hash,
 )
 from .harness import (
     ScenarioConfig,
@@ -38,7 +35,6 @@ from .population import (
     TagState,
     category_tags,
     generate_population,
-    mark_missing,
 )
 from .protocol import (
     CostLedger,

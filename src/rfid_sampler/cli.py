@@ -33,22 +33,31 @@ def _parse_int_list(raw: str) -> int | list[int]:
     parts = [p for p in raw.split(",") if p.strip()]
     if not parts:
         raise ConfigurationError(f"empty integer list: {raw!r}")
-    values = [int(p) for p in parts]
+    try:
+        values = [int(p) for p in parts]
+    except ValueError:
+        raise ConfigurationError(f"not an integer list: {raw!r}") from None
     return values[0] if len(values) == 1 else values
 
 
 def _parse_float_range(raw: str) -> list[float]:
     # either one float or lo:hi:step
-    if ":" in raw:
-        lo, hi, step = (float(x) for x in raw.split(":"))
-        if step <= 0 or hi < lo:
-            raise ConfigurationError(f"bad range {raw!r}")
-        out, x = [], lo
-        while x <= hi + 1e-12:
-            out.append(round(x, 10))
-            x += step
-        return out
-    return [float(raw)]
+    try:
+        parts = [float(x) for x in raw.split(":")]
+    except ValueError:
+        raise ConfigurationError(f"not a float or lo:hi:step range: {raw!r}") from None
+    if len(parts) == 1:
+        return parts
+    if len(parts) != 3:
+        raise ConfigurationError(f"not a float or lo:hi:step range: {raw!r}")
+    lo, hi, step = parts
+    if step <= 0 or hi < lo:
+        raise ConfigurationError(f"bad range {raw!r}")
+    out, x = [], lo
+    while x <= hi + 1e-12:
+        out.append(round(x, 10))
+        x += step
+    return out
 
 
 def cmd_simulate(args) -> int:
@@ -91,15 +100,14 @@ def cmd_selgen(args) -> int:
 def cmd_bounds(args) -> int:
     from .harness import bounds_report
 
-    rows = bounds_report(args.k, _parse_int_list(args.c),
-                         _parse_int_list(args.n) if args.n else None)
-    for row in rows:
-        print(f"K={row['K']} sum_c={row['sum_c']} "
-              f"lower_bound={row['lower_bound_bits']:.1f} bits "
-              f"({row['lower_bound_seconds'] * 1e3:.3f} ms)  "
-              f"expected={row['expected_bits']:.1f} bits "
-              f"({row['expected_seconds'] * 1e3:.3f} ms)  "
-              f"ratio={row['ratio']:.4f}")
+    row = bounds_report(args.k, _parse_int_list(args.c),
+                        _parse_int_list(args.n) if args.n else None)
+    print(f"K={row['K']} sum_c={row['sum_c']} "
+          f"lower_bound={row['lower_bound_bits']:.1f} bits "
+          f"({row['lower_bound_seconds'] * 1e3:.3f} ms)  "
+          f"expected={row['expected_bits']:.1f} bits "
+          f"({row['expected_seconds'] * 1e3:.3f} ms)  "
+          f"ratio={row['ratio']:.4f}")
     return EXIT_OK
 
 

@@ -13,11 +13,11 @@ import configparser
 import csv
 import json
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import TimingModel, lower_bound_bits
+from .analysis import TimingModel, expected_protocol_bits, lower_bound_bits, reliability_number
 from .baselines import run_random_select
 from .errors import ConfigurationError
 from .population import generate_population
@@ -29,6 +29,7 @@ CSV_COLUMNS = [
     "bits", "seconds", "lb_seconds", "ratio",
 ]
 PROTOCOLS = ("optc", "optc-impl", "random-select")
+_TIMING = TimingModel()
 
 
 @dataclass
@@ -42,7 +43,6 @@ class ScenarioConfig:
     trials: int = 10
     rng_seed: int = 0
     protocols: tuple[str, ...] = ("optc",)
-    timing: TimingModel = field(default_factory=TimingModel)
 
     def __post_init__(self):
         if self.K < 1:
@@ -77,37 +77,47 @@ def _expand_schedule(raw: str, K: int, key: str, section: str) -> list[int]:
     return [values[i % len(values)] for i in range(K)]
 
 
+def _int_key(sec, key: str, fallback: int | None = None) -> int:
+    raw = sec.get(key)
+    if raw is None:
+        if fallback is None:
+            raise ConfigurationError(f"[{sec.name}]: missing key {key}")
+        return fallback
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigurationError(f"[{sec.name}] {key}: not an integer: {raw!r}") from None
+
+
+def _scenario(sec, seed_override: int | None) -> ScenarioConfig:
+    K = _int_key(sec, "K")
+    for key in ("n", "c"):
+        if key not in sec:
+            raise ConfigurationError(f"[{sec.name}]: missing key {key}")
+    protocols = tuple(
+        p.strip() for p in sec.get("protocols", "optc").split(",") if p.strip()
+    )
+    return ScenarioConfig(
+        scenario_id=sec.name,
+        K=K,
+        ns=_expand_schedule(sec["n"], K, "n", sec.name),
+        cs=_expand_schedule(sec["c"], K, "c", sec.name),
+        trials=_int_key(sec, "trials", fallback=10),
+        rng_seed=seed_override if seed_override is not None else _int_key(sec, "seed", fallback=0),
+        protocols=protocols,
+    )
+
+
 def load_config(path: str, seed_override: int | None = None) -> list[ScenarioConfig]:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigurationError(f"cannot read config file {path}")
-    points = []
-    for section in parser.sections():
-        sec = parser[section]
-        try:
-            K = sec.getint("K")
-        except (ValueError, TypeError):
-            raise ConfigurationError(f"[{section}] K: not an integer")
-        if K is None:
-            raise ConfigurationError(f"[{section}]: missing key K")
-        for key in ("n", "c"):
-            if key not in sec:
-                raise ConfigurationError(f"[{section}]: missing key {key}")
-        protocols = tuple(
-            p.strip() for p in sec.get("protocols", "optc").split(",") if p.strip()
-        )
-        points.append(
-            ScenarioConfig(
-                scenario_id=section,
-                K=K,
-                ns=_expand_schedule(sec["n"], K, "n", section),
-                cs=_expand_schedule(sec["c"], K, "c", section),
-                trials=sec.getint("trials", fallback=10),
-                rng_seed=seed_override if seed_override is not None else sec.getint("seed", fallback=0),
-                protocols=protocols,
-            )
-        )
+    try:
+        if not parser.read(path):
+            raise ConfigurationError(f"cannot read config file {path}")
+        points = [_scenario(parser[s], seed_override) for s in parser.sections()]
+    except configparser.Error as exc:
+        # malformed INI: no section header, a repeated section or key, or
+        # a bad %-interpolation
+        raise ConfigurationError(f"config file {path}: {exc}") from None
     if not points:
         raise ConfigurationError(f"config file {path} defines no scenarios")
     return points
@@ -158,7 +168,7 @@ def run_trial(
     population = generate_population(list(zip(point.ns, point.cs)), pop_seed)
 
     if protocol == "optc":
-        _, ledger = run_optc(population, point.timing, rng)
+        _, ledger = run_optc(population, rng)
         bits = ledger.bits_reader_to_tag
     elif protocol == "optc-impl":
         results = run_optc_impl(population, rng)
@@ -178,8 +188,8 @@ def run_trial(
         sum_n=sum(point.ns),
         sum_c=sum(point.cs),
         bits=bits,
-        seconds=point.timing.transmission_time(bits),
-        lb_seconds=point.timing.transmission_time(lb_bits),
+        seconds=_TIMING.transmission_time(bits),
+        lb_seconds=_TIMING.transmission_time(lb_bits),
     )
 
 
@@ -216,22 +226,23 @@ def aggregate(rows: list[ResultRow]) -> list[dict]:
     return out
 
 
-def write_results(rows: list[ResultRow], out_path: str, json_mirror: bool = True):
+def write_results(rows: list[ResultRow], out_path: str):
+    """The rows as CSV at `out_path`, mirrored with aggregates as JSON at
+    `out_path` + ".json"."""
     rows = sorted(rows, key=lambda r: (r.scenario, r.protocol, r.trial))
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
         for row in rows:
             writer.writerow(row.as_record())
-    if json_mirror:
-        with open(out_path + ".json", "w") as fh:
-            json.dump(
-                {"rows": [r.as_record() for r in rows], "aggregates": aggregate(rows)},
-                fh,
-                indent=2,
-                sort_keys=True,
-            )
-            fh.write("\n")
+    with open(out_path + ".json", "w") as fh:
+        json.dump(
+            {"rows": [r.as_record() for r in rows], "aggregates": aggregate(rows)},
+            fh,
+            indent=2,
+            sort_keys=True,
+        )
+        fh.write("\n")
 
 
 def run_scenarios(config_path: str, out_path: str, seed_override: int | None = None) -> list[ResultRow]:
@@ -239,39 +250,6 @@ def run_scenarios(config_path: str, out_path: str, seed_override: int | None = N
     rows = run_points(points)
     write_results(rows, out_path)
     return rows
-
-
-# Named sweeps standing in for the simulation scenarios whose absolute
-# parameters are unspecified; the quantity of record is the ratio to
-# the lower bound, not wall-clock seconds.
-def preset_vary_k(c: int = 10, n: int = 100, trials: int = 10, seed: int = 7) -> list[ScenarioConfig]:
-    return [
-        ScenarioConfig(
-            scenario_id=f"vary-K-c{c}-K{K}",
-            K=K, ns=[n] * K, cs=[c] * K, trials=trials, rng_seed=seed,
-        )
-        for K in range(20, 101, 20)
-    ]
-
-
-def preset_vary_n(K: int = 50, c: int = 10, trials: int = 10, seed: int = 7) -> list[ScenarioConfig]:
-    return [
-        ScenarioConfig(
-            scenario_id=f"vary-n-n{n}-K{K}",
-            K=K, ns=[n] * K, cs=[c] * K, trials=trials, rng_seed=seed,
-        )
-        for n in (50, 100, 200, 400, 800)
-    ]
-
-
-def preset_vary_c(K: int = 50, n: int = 200, trials: int = 10, seed: int = 7) -> list[ScenarioConfig]:
-    return [
-        ScenarioConfig(
-            scenario_id=f"vary-c-c{c}-K{K}",
-            K=K, ns=[n] * K, cs=[c] * K, trials=trials, rng_seed=seed,
-        )
-        for c in (5, 10, 20, 50, 100)
-    ]
 
 
 def preset_deployment_1(trials: int = 10, seed: int = 7) -> list[ScenarioConfig]:
@@ -311,12 +289,11 @@ def preset_deployment_3(trials: int = 10, seed: int = 7) -> list[ScenarioConfig]
     ]
 
 
-def bounds_report(K: int, cs, ns=None, timing: TimingModel | None = None) -> list[dict]:
-    """Per-configuration table of the lower bound and the expected protocol
-    cost; `cs`/`ns` may be single ints (replicated) or K-length lists."""
-    from .analysis import expected_protocol_bits
-
-    timing = timing or TimingModel()
+def bounds_report(K: int, cs, ns=None) -> dict:
+    """The lower bound and the expected protocol cost of one configuration;
+    `cs`/`ns` may be single ints (replicated) or K-length lists."""
+    if K < 1:
+        raise ConfigurationError(f"need K >= 1 categories, got {K}")
     cs = [cs] * K if isinstance(cs, int) else list(cs)
     if len(cs) != K:
         raise ConfigurationError(f"need K={K} sample counts, got {len(cs)}")
@@ -325,26 +302,28 @@ def bounds_report(K: int, cs, ns=None, timing: TimingModel | None = None) -> lis
     ns = [ns] * K if isinstance(ns, int) else list(ns)
     if len(ns) != K:
         raise ConfigurationError(f"need K={K} sizes, got {len(ns)}")
+    for n, c in zip(ns, cs):
+        if not 1 <= c <= n:
+            raise ConfigurationError(f"need 1 <= c <= n, got c={c}, n={n}")
     gamma = lower_bound_bits(cs)
     expected = expected_protocol_bits(ns, cs)
-    return [
-        {
-            "K": K,
-            "sum_c": sum(cs),
-            "lower_bound_bits": gamma,
-            "lower_bound_seconds": timing.transmission_time(gamma),
-            "expected_bits": expected,
-            "expected_seconds": timing.transmission_time(expected),
-            "ratio": expected / gamma,
-        }
-    ]
+    return {
+        "K": K,
+        "sum_c": sum(cs),
+        "lower_bound_bits": gamma,
+        "lower_bound_seconds": _TIMING.transmission_time(gamma),
+        "expected_bits": expected,
+        "expected_seconds": _TIMING.transmission_time(expected),
+        "ratio": expected / gamma,
+    }
 
 
-def reliability_report(alphas, epsilon: float) -> list[dict]:
-    from .analysis import reliability_number
-
-    if isinstance(alphas, float):
-        alphas = [alphas]
+def reliability_report(alphas: list[float], epsilon: float) -> list[dict]:
+    """The sample count c for each missing rate in `alphas` at failure
+    probability `epsilon`."""
+    for x in (*alphas, epsilon):
+        if not 0.0 < x < 1.0:
+            raise ConfigurationError(f"alpha and epsilon must lie in (0, 1), got {x}")
     return [
         {"alpha": a, "epsilon": epsilon, "c": reliability_number(a, epsilon)}
         for a in alphas

@@ -15,10 +15,8 @@ import numpy as np
 
 from .population import ID_BITS, _HALF_BITS
 
-# Substring windows: the idealized full ID, or the last-16-bit block that
-# real EPCs are known to keep uniformly random.
-WINDOW_FULL = "full"
-WINDOW_COTS = "cots"
+# First bit of the last 16-bit block, which real EPCs are known to keep
+# uniformly random.
 _COTS_FIRST_BIT = 81
 
 
@@ -70,18 +68,6 @@ def suitable_upper(c: int) -> float:
     return c + 6.0 * math.sqrt(c)
 
 
-def substring_hash(id: int, seed: SeedSpec) -> int:
-    """Unsigned value of ID bits [start, start+L-1], MSB first."""
-    shift = ID_BITS - (seed.start + seed.length - 1)
-    return (id >> shift) & ((1 << seed.length) - 1)
-
-
-def hash_mod(id: int, seed: SeedSpec, m: int) -> int:
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
-    return substring_hash(id, seed) % m
-
-
 def ids_to_halves(ids) -> tuple[np.ndarray, np.ndarray]:
     """Split python-int IDs into (high 48 bits, low 48 bits) uint64 arrays.
 
@@ -94,7 +80,8 @@ def ids_to_halves(ids) -> tuple[np.ndarray, np.ndarray]:
 
 
 def substring_values(hi: np.ndarray, lo: np.ndarray, seed: SeedSpec) -> np.ndarray:
-    """Vectorized substring_hash over (hi, lo) ID halves."""
+    """Unsigned value of ID bits [start, start+L-1], MSB first, of every ID
+    given as (hi, lo) halves."""
     s, L = seed.start, seed.length
     if L > _HALF_BITS:
         raise ValueError(f"vectorized path supports length <= {_HALF_BITS}")
@@ -109,55 +96,36 @@ def substring_values(hi: np.ndarray, lo: np.ndarray, seed: SeedSpec) -> np.ndarr
     return ((hi_part << np.uint64(lo_bits)) | (lo >> np.uint64(_HALF_BITS - lo_bits))) & mask
 
 
-def selected_count_from_hashes(hashes, c: int) -> int:
-    thr = selection_threshold(c)
-    return int(sum(1 for h in hashes if h <= thr))
-
-
 def suitable_from_count(count: int, c: int) -> bool:
     return c <= count <= suitable_upper(c)
 
 
-def is_suitable(ids, seed: SeedSpec, c: int) -> tuple[bool, int]:
-    """Apply the coarse threshold rule to `ids` under `seed`; count selected."""
-    n = len(ids)
-    hashes = [hash_mod(i, seed, n) for i in ids]
-    count = selected_count_from_hashes(hashes, c)
-    return suitable_from_count(count, c), count
+def seed_pool(length: int) -> list[int]:
+    """Valid start positions of a substring of `length` bits."""
+    return list(range(1, ID_BITS - length + 2))
 
 
-def seed_pool(length: int, window: str = WINDOW_FULL) -> list[int]:
-    """Valid substring start positions for the given window."""
-    first = 1 if window == WINDOW_FULL else _COTS_FIRST_BIT
-    last = ID_BITS - length + 1
-    if last < first:
-        return []
-    return list(range(first, last + 1))
-
-
-def window_starts(length: int, window: str) -> list[int]:
-    """Start positions a seed search tries: the window's own, then the full
-    window's others, so a COTS window that runs dry widens to the full one.
-    A window's starts are always the full window's last ones."""
-    full, own = seed_pool(length), seed_pool(length, window)
-    return own + full[: len(full) - len(own)]
+def window_starts(length: int) -> list[int]:
+    """Start positions the Select-command search tries: those inside the
+    last 16-bit block first, then every other start, so a search that runs
+    dry inside the block widens to the whole ID."""
+    full = seed_pool(length)
+    return full[_COTS_FIRST_BIT - 1:] + full[: _COTS_FIRST_BIT - 1]
 
 
 def find_suitable_seed(
     hi: np.ndarray,
     lo: np.ndarray,
     c: int,
-    max_tests: int = 96,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator,
 ) -> tuple[np.ndarray | None, SeedSearchStats]:
-    """Draw start positions of the full window without replacement until a
+    """Draw substring start positions without replacement until a
     suitable seed appears for the tags with ID halves (hi, lo).  Returns the
     tags' hashes mod n under that seed and the search statistics, which
     name the seed.
 
     Exhaustion is reported in the stats (hashes and seed None), not raised.
     """
-    rng = rng if rng is not None else np.random.default_rng()
     n = len(hi)
     L = mod_hash_width(n)
     thr = selection_threshold(c)
@@ -168,8 +136,6 @@ def find_suitable_seed(
     tests = 0
     last_count = 0
     for idx in order:
-        if tests >= max_tests:
-            break
         seed = SeedSpec(start=starts[idx], length=L)
         vals = substring_values(hi, lo, seed) % np.uint64(n)
         count = int((vals <= thr).sum())
@@ -207,6 +173,6 @@ def seed_trial_statistics(n: int, c: int, trials: int, rng_seed: int) -> dict:
             first_ok += 1
     return {
         "avg_tests": float(np.mean(tests_seen)),
-        "max_tests": int(max(tests_seen)),
+        "most_tests": int(max(tests_seen)),
         "suitable_fraction": first_ok / trials,
     }

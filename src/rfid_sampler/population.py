@@ -60,14 +60,13 @@ class CategorySpec:
 @dataclass
 class Population:
     """Categories in order; category i holds the IDs hi/lo[offsets[i]:offsets[i+1]],
-    ascending.  `missing` flags tags, in the same layout, for mark_missing."""
+    ascending."""
 
     categories: list[CategorySpec]
     rng_seed: int
     hi: np.ndarray
     lo: np.ndarray
     offsets: np.ndarray
-    missing: np.ndarray | None = None
     _index: dict[int, int] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -168,31 +167,6 @@ def generate_population(
     return Population(
         categories=specs, rng_seed=rng_seed, hi=hi[order], lo=lo[order], offsets=offsets
     )
-
-
-def mark_missing(
-    population: Population, rates: list[float], rng_seed: int
-) -> Population:
-    """Flag tags missing, independently with per-category probability rates[k-1].
-
-    Flags only affect post-hoc success accounting, never protocol execution.
-    """
-    if len(rates) != len(population.categories):
-        raise ConfigurationError(
-            f"need one rate per category: got {len(rates)} rates, "
-            f"{len(population.categories)} categories"
-        )
-    for a in rates:
-        if not 0.0 <= a < 1.0:
-            raise ConfigurationError(f"missing rate must be in [0, 1), got {a}")
-
-    rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    missing = np.empty(population.size, dtype=bool)
-    for i, spec in enumerate(population.categories):
-        a, b = population.offsets[i], population.offsets[i + 1]
-        missing[a:b] = rng.random(b - a) < rates[spec.k - 1]
-    population.missing = missing
-    return population
 
 
 def category_tags(population: Population, k: int) -> list[Tag]:

@@ -59,11 +59,7 @@ class RoundOutcome:
 @dataclass
 class CostLedger:
     bits_reader_to_tag: int = 0
-    frames: int = 0
     payload_bits: int = 0
-
-    def seconds(self, timing) -> float:
-        return timing.transmission_time(self.bits_reader_to_tag)
 
 
 def optc1_header_bits(n: int, c: int) -> int:
@@ -102,18 +98,17 @@ def optc1_round(
     )
 
 
-def build_frame(slot_occupancy, needed: int, length: int | None = None) -> np.ndarray:
+def build_frame(slot_occupancy, needed: int, length: int) -> np.ndarray:
     """Reader side: the frame's bits, scanned left to right, with a slot's
     bit set iff it holds exactly one tag and fewer than `needed` ones have
-    been placed so far.  The frame has `length` slots (default: one per tag)."""
+    been placed so far.  The frame has `length` slots."""
     if needed < 1:
         raise ValueError("needed must be >= 1")
     slots = np.asarray(slot_occupancy, dtype=np.int64)
-    m = len(slots) if length is None else length
-    if len(slots) and (slots.min() < 0 or slots.max() >= m):
-        raise ValueError(f"slots must lie in [0, {m})")
-    counts = np.bincount(slots, minlength=m)
-    bits = np.zeros(m, dtype=np.uint8)
+    if len(slots) and (slots.min() < 0 or slots.max() >= length):
+        raise ValueError(f"slots must lie in [0, {length})")
+    counts = np.bincount(slots, minlength=length)
+    bits = np.zeros(length, dtype=np.uint8)
     bits[np.flatnonzero(counts == 1)[:needed]] = 1
     return bits
 
@@ -234,7 +229,6 @@ def optc2_round(
 
 def run_optc(
     population: Population,
-    timing,
     rng: np.random.Generator,
 ) -> tuple[list[RoundOutcome], CostLedger]:
     """Full protocol: K coarse rounds, then K refinement rounds."""
@@ -250,10 +244,9 @@ def run_optc(
     for spec, first in zip(population.categories, coarse):
         hi, lo = population.halves(spec.k)
         out = optc2_round((hi[first.positions], lo[first.positions]), spec.c)
+        ledger.bits_reader_to_tag += out.bits_sent
+        ledger.payload_bits += out.payload_bits
         out.seed_tests = first.seed_tests
         out.bits_sent += first.bits_sent
         outcomes.append(out)
-        ledger.bits_reader_to_tag += out.bits_sent - first.bits_sent
-        ledger.payload_bits += out.payload_bits
-        ledger.frames += out.iterations
     return outcomes, ledger

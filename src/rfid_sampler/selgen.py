@@ -18,7 +18,6 @@ import numpy as np
 from .errors import ProtocolError
 from .hashing import (
     SeedSpec,
-    WINDOW_COTS,
     selection_threshold,
     substring_values,
     suitable_from_count,
@@ -167,9 +166,9 @@ def scaled_coarse_threshold(n: int, c: int, width: int) -> int:
     return min(tau, (1 << width) - 1)
 
 
-def _draw_windows(length: int, rng: np.random.Generator, window: str) -> Iterator[SeedSpec]:
-    """The window's seeds in random order, each built when the search reaches it."""
-    starts = window_starts(length, window)
+def _draw_windows(length: int, rng: np.random.Generator) -> Iterator[SeedSpec]:
+    """The search's seeds in random order, each built when the search reaches it."""
+    starts = window_starts(length)
     for i in rng.permutation(len(starts)):
         yield SeedSpec(start=starts[i], length=length)
 
@@ -179,9 +178,6 @@ def run_impl_category(
     lo: np.ndarray,
     c: int,
     rng: np.random.Generator,
-    window: str = WINDOW_COTS,
-    scaled: bool = True,
-    optimize_tau: bool = True,
     *,
     k: int = 1,
 ) -> ImplRoundResult:
@@ -199,14 +195,11 @@ def run_impl_category(
 
     # stage one: coarse selection by threshold on an L1-bit raw hash
     L1 = max(1, math.ceil(math.log2(n)))
-    if scaled:
-        tau1 = scaled_coarse_threshold(n, c, L1)
-    else:
-        tau1 = min(math.ceil(selection_threshold(c)), (1 << L1) - 1)
+    tau1 = scaled_coarse_threshold(n, c, L1)
     coarse_seed = None
     coarse_vals = None
     redraws1 = 0
-    for seed in _draw_windows(L1, rng, window):
+    for seed in _draw_windows(L1, rng):
         vals = substring_values(hi, lo, seed).astype(np.int64)
         count = int((vals <= tau1).sum())
         redraws1 += 1
@@ -225,7 +218,7 @@ def run_impl_category(
     refine_seed = None
     refine_vals = None
     redraws2 = 0
-    for seed in _draw_windows(L2, rng, window):
+    for seed in _draw_windows(L2, rng):
         vals = substring_values(s_hi, s_lo, seed).astype(np.int64)
         redraws2 += 1
         order = np.sort(vals)
@@ -237,11 +230,7 @@ def run_impl_category(
     if refine_seed is None:
         raise ProtocolError(f"no refine hash window separates c={c} of l={l} tags")
 
-    order = np.sort(refine_vals)
-    if optimize_tau:
-        tau2 = best_threshold(order.tolist(), c, L2)
-    else:
-        tau2 = int(order[c - 1])
+    tau2 = best_threshold(np.sort(refine_vals).tolist(), c, L2)
     cmds += selgen_commands(tau2, L2, pointer=refine_seed.start - 1)
 
     picked = np.flatnonzero(refine_vals <= tau2)
@@ -269,20 +258,12 @@ def run_impl_category(
 def run_optc_impl(
     population: Population,
     rng: np.random.Generator,
-    window: str = WINDOW_COTS,
-    scaled: bool = True,
-    optimize_tau: bool = True,
 ) -> list[ImplRoundResult]:
     """The Select-command realization over every category in turn."""
     results = []
     for spec in population.categories:
         hi, lo = population.halves(spec.k)
-        results.append(
-            run_impl_category(
-                hi, lo, spec.c, rng, window=window, scaled=scaled,
-                optimize_tau=optimize_tau, k=spec.k,
-            )
-        )
+        results.append(run_impl_category(hi, lo, spec.c, rng, k=spec.k))
     return results
 
 

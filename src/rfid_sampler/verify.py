@@ -49,7 +49,7 @@ def suite_seeds(trials: int = 1000, rng_seed: int = 2024) -> list[Check]:
         for i, (n, c) in enumerate(grid):
             stats = seed_trial_statistics(n, c, trials, rng_seed + 7919 * i)
             worst_avg = max(worst_avg, stats["avg_tests"])
-            worst_max = max(worst_max, stats["max_tests"])
+            worst_max = max(worst_max, stats["most_tests"])
             worst_frac = min(worst_frac, stats["suitable_fraction"])
         checks.append(Check(
             f"seeds/{label}/fraction", worst_frac >= 0.40,

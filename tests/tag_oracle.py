@@ -3,15 +3,28 @@
 One `Tag` object per Selected tag, a scalar left-to-right frame scan, and
 the scalar tag-side rule, with seeds and frame lengths from the schedule in
 `rfid_sampler.protocol` and hashes from the scalar `hash_mod`.  The array
-`optc2_round` must match it frame by frame.
+`optc2_round` must match it frame by frame, and the vectorized
+`substring_values` must match `substring_hash` ID by ID.
 """
 
 from __future__ import annotations
 
 from rfid_sampler.errors import ProtocolError
-from rfid_sampler.hashing import hash_mod
-from rfid_sampler.population import Tag, TagState
+from rfid_sampler.hashing import SeedSpec
+from rfid_sampler.population import ID_BITS, Tag, TagState
 from rfid_sampler.protocol import default_iteration_cap, refine_frame_length, refine_seed
+
+
+def substring_hash(id: int, seed: SeedSpec) -> int:
+    """Unsigned value of ID bits [start, start+L-1], MSB first."""
+    shift = ID_BITS - (seed.start + seed.length - 1)
+    return (id >> shift) & ((1 << seed.length) - 1)
+
+
+def hash_mod(id: int, seed: SeedSpec, m: int) -> int:
+    if m < 1:
+        raise ValueError(f"modulus must be >= 1, got {m}")
+    return substring_hash(id, seed) % m
 
 
 def build_frame(slots: list[int], needed: int, length: int) -> list[int]:

@@ -11,7 +11,7 @@ import json
 
 import numpy as np
 
-from rfid_sampler import TimingModel, category_tags, generate_population
+from rfid_sampler import category_tags, generate_population
 from rfid_sampler.baselines import run_random_select
 from rfid_sampler.harness import run_scenarios
 from rfid_sampler.protocol import run_optc
@@ -69,7 +69,7 @@ def test_population_and_sampled_ids_digest():
     """The CSV records bits only; this pins the IDs themselves: every
     category's tags in order, and the tags each protocol samples."""
     pop = generate_population([(40, 5), (60, 8), (300, 20), (1, 1)], rng_seed=77)
-    optc, _ = run_optc(pop, TimingModel(), np.random.default_rng(1))
+    optc, _ = run_optc(pop, np.random.default_rng(1))
     impl = run_optc_impl(pop, np.random.default_rng(2))
     baseline = run_random_select(pop, np.random.default_rng(3))
     record = {

@@ -108,7 +108,7 @@ class TestResults:
 
 class TestReports:
     def test_bounds_table(self):
-        (row,) = bounds_report(100, 10)
+        row = bounds_report(100, 10)
         assert row["lower_bound_bits"] == pytest.approx(1442.7, abs=0.1)
         assert row["ratio"] > 1.88
 
@@ -171,6 +171,26 @@ class TestCli:
     def test_bounds_command(self, capsys):
         assert main(["bounds", "--k", "100", "--c", "10"]) == 0
         assert "ratio=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("config,argv", [
+        pytest.param("K = 2\nn = 5\nc = 1\n", None, id="no-section-header"),
+        pytest.param(GOOD_CONFIG + GOOD_CONFIG, None, id="duplicate-section"),
+        pytest.param(GOOD_CONFIG.replace("trials = 2", "trials = abc"), None, id="trials-abc"),
+        pytest.param(GOOD_CONFIG.replace("seed = 9", "seed = x"), None, id="seed-x"),
+        pytest.param(None, ["bounds", "--k", "100", "--c", "abc"], id="bounds-c-abc"),
+        pytest.param(None, ["bounds", "--k", "0", "--c", "10"], id="bounds-k-0"),
+        pytest.param(None, ["bounds", "--k", "100", "--c", "0"], id="bounds-c-0"),
+        pytest.param(None, ["reliability", "--alpha", "1.5", "--epsilon", "0.01"],
+                     id="alpha-1.5"),
+        pytest.param(None, ["reliability", "--alpha", "0.1:0.2", "--epsilon", "0.01"],
+                     id="alpha-two-part-range"),
+    ])
+    def test_bad_input_exits_2(self, tmp_path, capsys, config, argv):
+        if config is not None:
+            argv = ["simulate", "--config", _write(tmp_path, config),
+                    "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     def test_reliability_sweep(self, capsys):
         assert main(["reliability", "--alpha", "0.1:0.9:0.4", "--epsilon", "0.01"]) == 0

@@ -5,16 +5,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfid_sampler import SeedSpec, find_suitable_seed, hash_mod, is_suitable, substring_hash
+from rfid_sampler import SeedSpec, find_suitable_seed
 from rfid_sampler.hashing import (
+    _COTS_FIRST_BIT,
     mod_hash_width,
     seed_pool,
     seed_trial_statistics,
     selection_threshold,
     substring_values,
+    suitable_from_count,
     suitable_upper,
     window_starts,
 )
+from tag_oracle import hash_mod, substring_hash
 
 
 def _halves(ids):
@@ -36,9 +39,10 @@ def test_seed_spec_bounds():
 def test_substring_hash_msb_first():
     # ID with bits 1..4 = 1011 and everything else zero
     tag_id = 0b1011 << 92
-    assert substring_hash(tag_id, SeedSpec(1, 4)) == 0b1011
-    assert substring_hash(tag_id, SeedSpec(2, 3)) == 0b011
-    assert substring_hash(tag_id, SeedSpec(5, 4)) == 0
+    hi, lo = _halves([tag_id])
+    for seed, value in ((SeedSpec(1, 4), 0b1011), (SeedSpec(2, 3), 0b011), (SeedSpec(5, 4), 0)):
+        assert substring_hash(tag_id, seed) == value
+        assert substring_values(hi, lo, seed).tolist() == [value]
 
 
 def test_hash_mod():
@@ -76,18 +80,25 @@ def _ids_with_top_nibble(values):
     return [v << 92 for v in values]
 
 
+def _selected_count(ids, seed, c):
+    """Tags whose hash mod n clears the coarse threshold, as the seed
+    search counts them."""
+    hashes = substring_values(*_halves(ids), seed) % np.uint64(len(ids))
+    return int((hashes <= selection_threshold(c)).sum())
+
+
 def test_unsuitable_seed_rejected():
     ids = _ids_with_top_nibble(_HASHES_OVERFULL)
-    ok, count = is_suitable(ids, SeedSpec(1, 4), c=2)
+    count = _selected_count(ids, SeedSpec(1, 4), c=2)
     assert count == 11
-    assert not ok
+    assert not suitable_from_count(count, 2)
 
 
 def test_suitable_seed_accepted():
     ids = _ids_with_top_nibble(_HASHES_GOOD)
-    ok, count = is_suitable(ids, SeedSpec(1, 4), c=2)
+    count = _selected_count(ids, SeedSpec(1, 4), c=2)
     assert count == 6
-    assert ok
+    assert suitable_from_count(count, 2)
 
 
 def test_threshold_values():
@@ -98,18 +109,17 @@ def test_threshold_values():
 
 def test_seed_pool_windows():
     assert seed_pool(4) == list(range(1, 94))
-    assert seed_pool(16, "cots") == [81]
-    assert seed_pool(10, "cots") == list(range(81, 88))
-    # search order: the COTS starts, then the rest of the full window
+    assert seed_pool(96) == [1]
+    # search order: the starts inside the last 16-bit block, then the rest
     for L in (4, 10, 16, 17, 26):
         full = seed_pool(L)
-        cots = seed_pool(L, "cots")
-        starts = window_starts(L, "cots")
+        cots = [s for s in full if s >= _COTS_FIRST_BIT]
+        starts = window_starts(L)
         assert starts[:len(cots)] == cots
         assert sorted(starts) == full and len(set(starts)) == len(starts)
-        assert window_starts(L, "full") == full
-    assert window_starts(16, "cots") == [81] + list(range(1, 81))
-    assert window_starts(17, "cots") == list(range(1, 81))  # empty COTS pool
+    assert window_starts(10)[:7] == list(range(81, 88))
+    assert window_starts(16) == [81] + list(range(1, 81))
+    assert window_starts(17) == list(range(1, 81))  # no start inside the block
 
 
 def test_mod_hash_width_padding():
@@ -134,6 +144,6 @@ def test_find_suitable_seed_deterministic():
 
 def test_seed_trial_statistics_shape():
     stats = seed_trial_statistics(n=200, c=10, trials=50, rng_seed=3)
-    assert stats["max_tests"] >= 1
+    assert stats["most_tests"] >= 1
     assert stats["avg_tests"] >= 1.0
     assert 0.0 <= stats["suitable_fraction"] <= 1.0

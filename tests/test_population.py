@@ -4,10 +4,8 @@ import pytest
 from rfid_sampler import (
     ConfigurationError,
     TagState,
-    TimingModel,
     category_tags,
     generate_population,
-    mark_missing,
     run_optc,
 )
 from rfid_sampler.population import (
@@ -72,26 +70,10 @@ def test_states_start_unacknowledged_and_reset():
     assert all(t.state is TagState.UNACKNOWLEDGED and t.cnt == 0 for t in tags)
     tags[0].state = TagState.READY
     tags[0].cnt = 3
-    run_optc(pop, TimingModel(), np.random.default_rng(0))
+    run_optc(pop, np.random.default_rng(0))
     fresh = category_tags(pop, 1)
     assert [t.id for t in fresh] == [t.id for t in tags]
     assert all(t.state is TagState.UNACKNOWLEDGED and t.cnt == 0 for t in fresh)
-
-
-def test_mark_missing_rates():
-    pop = generate_population([(2000, 1)], rng_seed=11)
-    mark_missing(pop, [0.25], rng_seed=12)
-    assert pop.missing.dtype == bool and len(pop.missing) == pop.size
-    frac = pop.missing.sum() / pop.size
-    assert abs(frac - 0.25) < 0.05  # 4 sigma is ~0.039 at n=2000
-
-
-def test_mark_missing_validation():
-    pop = generate_population([(4, 1), (4, 1)], rng_seed=2)
-    with pytest.raises(ConfigurationError):
-        mark_missing(pop, [0.5], rng_seed=0)
-    with pytest.raises(ConfigurationError):
-        mark_missing(pop, [0.5, 1.0], rng_seed=0)
 
 
 def _reference_ids(n, rng):

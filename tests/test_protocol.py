@@ -15,8 +15,7 @@ from rfid_sampler import (
     run_optc,
 )
 from rfid_sampler import protocol
-from rfid_sampler.analysis import TimingModel
-from rfid_sampler.hashing import find_suitable_seed, hash_mod, selection_threshold
+from rfid_sampler.hashing import find_suitable_seed, selection_threshold
 from rfid_sampler.population import Tag, TagState, halves_to_ids
 from rfid_sampler.protocol import (
     optc1_header_bits,
@@ -25,6 +24,7 @@ from rfid_sampler.protocol import (
     tag_apply_frame,
 )
 from rfid_sampler.verify import sample_once
+from tag_oracle import hash_mod
 
 
 def _ids(n):
@@ -48,24 +48,24 @@ def _apply(bits, slots, cnt=None):
 class TestFrame:
     def test_marks_singletons_left_to_right(self):
         # occupancy: slot0 single, slot1 doubled, slot3 single, slot4 doubled
-        bits = build_frame([0, 1, 1, 3, 4, 4], needed=5)
+        bits = build_frame([0, 1, 1, 3, 4, 4], needed=5, length=6)
         assert bits.tolist() == [1, 0, 0, 1, 0, 0]
 
     def test_respects_needed_cap(self):
-        bits = build_frame([0, 2, 4, 4, 1], needed=2)
+        bits = build_frame([0, 2, 4, 4, 1], needed=2, length=5)
         assert bits.tolist() == [1, 1, 0, 0, 0]
 
     def test_rejects_out_of_range_slot(self):
         with pytest.raises(ValueError):
-            build_frame([0, 3], needed=1)
+            build_frame([0, 3], needed=1, length=2)
 
     def test_no_singletons(self):
-        bits = build_frame([0, 0, 1, 1], needed=3)
+        bits = build_frame([0, 0, 1, 1], needed=3, length=4)
         assert bits.sum() == 0
 
     def test_promotion_orders_follow_prefix_ones(self):
         slots = [0, 1, 1, 3, 4, 4]
-        bits = build_frame(slots, needed=5)
+        bits = build_frame(slots, needed=5, length=6)
         ready, cnt = _apply(bits, slots)
         assert ready == [True, False, False, True, False, False]
         # promoted tags take the ones through their slot; skipped tags
@@ -224,9 +224,9 @@ def test_round_trip_exactness(n, data):
 
 def test_run_optc_full_population():
     pop = generate_population([(60, 5), (40, 8), (25, 3)], rng_seed=21)
-    outcomes, ledger = run_optc(pop, TimingModel(), np.random.default_rng(3))
+    outcomes, ledger = run_optc(pop, np.random.default_rng(3))
     assert len(outcomes) == 3
     for spec, out in zip(pop.categories, outcomes):
         assert sorted(o for _, o in out.ready) == list(range(1, spec.c + 1))
     assert ledger.bits_reader_to_tag == sum(o.bits_sent for o in outcomes)
-    assert ledger.seconds(TimingModel()) > 0
+    assert ledger.payload_bits == sum(o.payload_bits for o in outcomes) > 0

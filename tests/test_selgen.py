@@ -130,7 +130,7 @@ class TestImplementation:
         res = run_impl_category(*pop.halves(1), 6, rng)
         ids_in_order = [tid for tid, _ in sorted(res.ready, key=lambda x: x[1])]
         # recompute the refine-stage hashes and check ranks agree
-        from rfid_sampler.hashing import substring_hash
+        from tag_oracle import substring_hash
 
         hashes = {tid: substring_hash(tid, res.refine_seed) for tid in ids_in_order}
         values = [hashes[tid] for tid in ids_in_order]
