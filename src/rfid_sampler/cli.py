@@ -53,11 +53,12 @@ def _parse_float_range(raw: str) -> list[float]:
     lo, hi, step = parts
     if step <= 0 or hi < lo:
         raise ConfigurationError(f"bad range {raw!r}")
-    out, x = [], lo
-    while x <= hi + 1e-12:
-        out.append(round(x, 10))
-        x += step
-    return out
+    # each point from its index, so float error does not build up along the
+    # sweep; the slack keeps an end point that lies on the grid
+    last = (hi - lo) / step + 1e-9
+    if not last < 10_000:  # also rejects nan and inf
+        raise ConfigurationError(f"range {raw!r} has over 10000 points")
+    return [round(lo + i * step, 10) for i in range(int(last) + 1)]
 
 
 def cmd_simulate(args) -> int:

@@ -59,6 +59,8 @@ class ScenarioConfig:
                     f"{self.scenario_id}: category {k} needs 1 <= c <= n, "
                     f"got c={c}, n={n}"
                 )
+        if not self.protocols:
+            raise ConfigurationError(f"{self.scenario_id}: no protocols listed")
         for p in self.protocols:
             if p not in PROTOCOLS:
                 raise ConfigurationError(

@@ -44,11 +44,6 @@ class SeedSearchStats:
     seed: SeedSpec | None = None  # the accepted seed, None on exhaustion
 
 
-def hash_width(n: int) -> int:
-    """Substring width used when hashing a set of n tags."""
-    return max(1, math.ceil(math.log2(n))) if n > 1 else 1
-
-
 def mod_hash_width(m: int) -> int:
     """Substring width used before reducing mod m.
 
@@ -57,7 +52,7 @@ def mod_hash_width(m: int) -> int:
     caps the relative bias at 2^-16, which is negligible next to the
     Monte-Carlo noise, so the substring behaves like the uniform hash
     the protocol analysis assumes."""
-    return min(_HALF_BITS, hash_width(m) + 16)
+    return min(_HALF_BITS, max(1, math.ceil(math.log2(m))) + 16)
 
 
 def selection_threshold(c: int) -> float:
@@ -128,22 +123,16 @@ def find_suitable_seed(
     """
     n = len(hi)
     L = mod_hash_width(n)
-    thr = selection_threshold(c)
+    # hashes are integers, so h <= c + 3*sqrt(c) iff h <= its floor
+    thr = np.uint64(math.floor(selection_threshold(c)))
 
-    starts = seed_pool(L)
-    order = rng.permutation(len(starts))
-
-    tests = 0
-    last_count = 0
-    for idx in order:
-        seed = SeedSpec(start=starts[idx], length=L)
+    for tests, idx in enumerate(rng.permutation(ID_BITS - L + 1).tolist(), start=1):
+        seed = SeedSpec(start=idx + 1, length=L)
         vals = substring_values(hi, lo, seed) % np.uint64(n)
-        count = int((vals <= thr).sum())
-        tests += 1
-        last_count = count
+        count = int(np.count_nonzero(vals <= thr))
         if suitable_from_count(count, c):
             return vals, SeedSearchStats(tests=tests, found=True, selected_count=count, seed=seed)
-    return None, SeedSearchStats(tests=tests, found=False, selected_count=last_count)
+    return None, SeedSearchStats(tests=tests, found=False, selected_count=count)
 
 
 def seed_trial_statistics(n: int, c: int, trials: int, rng_seed: int) -> dict:

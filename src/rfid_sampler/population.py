@@ -93,7 +93,10 @@ def _lexsort_by_key(key: np.ndarray, keys: tuple[np.ndarray, ...]) -> np.ndarray
     order = np.argsort(key)
     k = key[order]
     eq = k[1:] == k[:-1]
-    tied = np.r_[eq, False] | np.r_[False, eq]
+    if not eq.any():
+        return order
+    tied = np.append(eq, False)
+    tied[1:] |= eq
     sub = np.sort(order[tied])
     order[tied] = sub[np.lexsort(tuple(a[sub] for a in keys))]
     return order
@@ -112,15 +115,20 @@ def _first_occurrences(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 def random_ids(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n distinct 96-bit IDs as (hi, lo) uint64 halves, every bit
     independently uniform, in draw order.  A drawn ID equal to an earlier
-    one is dropped, and the shortfall is drawn again until n are distinct."""
+    one is dropped, and the shortfall is drawn again until n are distinct.
+    If one sort of the high halves shows no two equal, no two IDs can be
+    equal, and only a repeated high half (odds about n^2 / 2^49) pays for
+    the full-ID search."""
     hi = lo = np.empty(0, dtype=np.uint64)
     while len(hi) < n:
         halves = rng.integers(0, 1 << _HALF_BITS, size=(n - len(hi), 2), dtype=np.uint64)
         hi = np.concatenate((hi, halves[:, 0]))
         lo = np.concatenate((lo, halves[:, 1]))
+        h = np.sort(hi)
+        if not (h[1:] == h[:-1]).any():
+            break
         keep = _first_occurrences(hi, lo)
-        if not keep.all():
-            hi, lo = hi[keep], lo[keep]
+        hi, lo = hi[keep], lo[keep]
     return hi, lo
 
 

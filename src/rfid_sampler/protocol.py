@@ -36,12 +36,11 @@ from .hashing import (
     SeedSpec,
     find_suitable_seed,
     mod_hash_width,
-    seed_pool,
     selection_threshold,
     substring_values,
     suitable_from_count,
 )
-from .population import Population, halves_to_ids
+from .population import ID_BITS, Population, halves_to_ids
 
 
 @dataclass
@@ -85,7 +84,7 @@ def optc1_round(
     if hashes is None:
         raise ProtocolError(f"no suitable seed for n={n}, c={c} after {stats.tests} tests")
 
-    positions = np.flatnonzero(hashes <= selection_threshold(c))
+    positions = np.flatnonzero(hashes <= math.floor(selection_threshold(c)))
     if not suitable_from_count(len(positions), c):
         raise ProtocolError(f"seed selected {len(positions)} tags, outside bounds")
 
@@ -120,13 +119,11 @@ def tag_apply_frame(
     `slots`: a tag whose slot holds a one becomes Ready, its counter raised
     by the ones up to and including its slot; every other tag adds the
     frame's ones and stays Selected.  A slot past the end of a truncated
-    frame reads as 0.  Returns (ready mask, new counters)."""
+    frame reads as 0 (the read clips, then is masked off).  Returns (ready
+    mask, new counters)."""
     ones_through = np.cumsum(bits, dtype=np.int64)
-    ready = np.zeros(len(slots), dtype=bool)
-    inside = slots < len(bits)
-    ready[inside] = bits[slots[inside]] == 1
-    heard = np.full(len(slots), ones_through[-1])
-    heard[ready] = ones_through[slots[ready]]
+    ready = (bits.take(slots, mode="clip") == 1) & (slots < len(bits))
+    heard = np.where(ready, ones_through.take(slots, mode="clip"), ones_through[-1])
     return ready, cnt + heard
 
 
@@ -139,13 +136,13 @@ def refine_frame_length(c: int, needed: int) -> int:
 def refine_seed(c: int, iteration: int) -> SeedSpec:
     """Seed of refinement iteration `iteration` (1-based), which reader and
     tags both derive from the iteration index.  One substring width serves
-    the whole stage (sized for its longest, first frame); starts advance by
-    that width around the ID's start positions, so consecutive
-    iterations hash disjoint or barely overlapping substrings and, as a
-    width of at most 48 bits leaves more starts than that, never share one."""
+    the whole stage (sized for its longest, first frame); iteration t starts
+    at bit 1 + (t - 1) * L mod (ID_BITS - L + 1), stepping by that width around
+    the valid starts, so consecutive iterations hash disjoint or barely
+    overlapping substrings and, as a width of at most 48 bits leaves more
+    starts than that, never share one."""
     L = mod_hash_width(refine_frame_length(c, c))
-    starts = seed_pool(L)
-    return SeedSpec(start=starts[(iteration - 1) * L % len(starts)], length=L)
+    return SeedSpec(start=1 + (iteration - 1) * L % (ID_BITS - L + 1), length=L)
 
 
 def default_iteration_cap(c: int) -> int:
@@ -197,17 +194,18 @@ def optc2_round(
         ready, cnt = tag_apply_frame(cnt, bits, slots)
         # Reader-side cross-check: the marked slot of rank i hands out the
         # order done + i + 1, which each promoted tag's counter must equal.
-        heard = cnt[ready]
-        predicted = done + np.searchsorted(ones, slots[ready]) + 1
+        hit = np.flatnonzero(ready)
+        heard = cnt[hit]
+        predicted = done + np.searchsorted(ones, slots[hit]) + 1
         if not np.array_equal(heard, predicted):
             bad = np.flatnonzero(heard != predicted)[0]
             raise ProtocolError(
-                f"counter mismatch on pool row {rows[ready][bad]}: "
+                f"counter mismatch on pool row {rows[hit[bad]]}: "
                 f"cnt={heard[bad]}, reader predicts {predicted[bad]}"
             )
-        by_order = np.argsort(heard)
-        promoted.append(rows[ready][by_order])
-        orders.append(heard[by_order])
+        by_order = hit[np.argsort(heard)]
+        promoted.append(rows[by_order])
+        orders.append(cnt[by_order])
         done += len(heard)
         keep = ~ready
         rows, hi, lo, cnt = rows[keep], hi[keep], lo[keep], cnt[keep]

@@ -124,15 +124,17 @@ def best_threshold(sorted_values: list[int], c: int, width: int) -> int:
     """Cheapest tau that selects exactly the c smallest hash values.
 
     Any tau in [v_c, v_{c+1} - 1] selects the same set, so pick the one
-    needing the fewest Select commands (ties: smallest tau).
+    needing the fewest Select commands (ties: smallest tau).  Only lo and,
+    for each j, the smallest tau >= lo ending in j ones can win: any other
+    tau costs more than the one whose j indexes (from 0) the highest bit
+    where tau and lo differ.  These candidates ascend with j.
     """
     lo = sorted_values[c - 1]
     hi = sorted_values[c] - 1 if c < len(sorted_values) else (1 << width) - 1
     best, best_cost = lo, command_count(lo, width)
-    for tau in range(lo + 1, hi + 1):
-        cost = command_count(tau, width)
-        if cost < best_cost:
-            best, best_cost = tau, cost
+    for tau in (((lo + (1 << j)) >> j << j) - 1 for j in range(1, width + 1)):
+        if tau <= hi and command_count(tau, width) < best_cost:
+            best, best_cost = tau, command_count(tau, width)
     return best
 
 

@@ -184,6 +184,10 @@ class TestCli:
                      id="alpha-1.5"),
         pytest.param(None, ["reliability", "--alpha", "0.1:0.2", "--epsilon", "0.01"],
                      id="alpha-two-part-range"),
+        pytest.param(None, ["reliability", "--alpha", "0.1:0.9:1e-6", "--epsilon", "0.01"],
+                     id="alpha-sweep-over-10000-points"),
+        pytest.param(GOOD_CONFIG.replace("optc, random-select", ","), None,
+                     id="protocols-empty"),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, config, argv):
         if config is not None:
@@ -196,3 +200,11 @@ class TestCli:
         assert main(["reliability", "--alpha", "0.1:0.9:0.4", "--epsilon", "0.01"]) == 0
         lines = [l for l in capsys.readouterr().out.splitlines() if l]
         assert len(lines) == 3 and lines[-1].endswith("c=44")
+
+    def test_reliability_fine_sweep_keeps_its_grid(self, capsys):
+        assert main(["reliability", "--alpha", "0.1:0.9:0.001", "--epsilon", "0.01"]) == 0
+        alphas = [l.split()[0] for l in capsys.readouterr().out.splitlines() if l]
+        assert alphas == [f"alpha={(100 + i) / 1000:.3f}" for i in range(801)]
+        # 0.9 is off this grid, so the sweep stops at the last point below it
+        sweep = cli._parse_float_range("0.1:0.9:0.0003")
+        assert len(sweep) == 2667 and sweep[-1] == 0.8998

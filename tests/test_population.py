@@ -129,6 +129,14 @@ def test_random_ids_redraw_repeats():
     assert rng.batches == []
 
 
+def test_random_ids_shared_high_half_is_not_a_repeat():
+    # the sort of the high halves finds (1, 2) and (1, 3) tied, so the
+    # full-ID check runs and keeps both; a second batch would be unused
+    rng = _ScriptedRng([[(1, 2), (1, 3)], [(5, 6)]])
+    assert halves_to_ids(*random_ids(2, rng)) == [(1 << 48) | 2, (1 << 48) | 3]
+    assert len(rng.batches) == 1
+
+
 def test_population_matches_reference_loop():
     sizes = [(5, 1), (300, 2), (1, 1), (64, 8)]
     pop = generate_population(sizes, rng_seed=123)

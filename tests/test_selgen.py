@@ -111,6 +111,24 @@ class TestThresholdChoice:
             command_count(t, 4) for t in range(6, 12)
         )
 
+    def test_best_threshold_matches_scan_of_every_tau(self):
+        def cheapest_by_scan(lo, hi, width):
+            best, best_cost = lo, command_count(lo, width)
+            for tau in range(lo + 1, hi + 1):
+                if command_count(tau, width) < best_cost:
+                    best, best_cost = tau, command_count(tau, width)
+            return best
+
+        for width in range(1, 8):
+            top = (1 << width) - 1
+            for lo in range(top + 1):
+                # hi = top (the all-ones tau, which costs 2) when c is the last value
+                assert best_threshold([lo], 1, width) == cheapest_by_scan(lo, top, width)
+                for hi in range(lo, top):
+                    assert best_threshold([lo, hi + 1], 1, width) == cheapest_by_scan(
+                        lo, hi, width
+                    )
+
 
 class TestImplementation:
     def test_single_category_end_state(self):
