@@ -14,7 +14,7 @@ from rfid_sampler.selgen import commands_bit_cost
 
 for tau, width in ((5, 3), (10, 4), (44, 6)):
     filters = selgen_filters(tau, width)
-    cost = commands_bit_cost(selgen_commands(tau, width, pointer=80))
+    cost = commands_bit_cost(selgen_commands(tau, width))
     naive = naive_threshold_bits(tau, width)
     print(f"tau = {tau:>2} ({width} bits): filters {filters}")
     print(f"    {len(filters)} commands, {cost} bits "

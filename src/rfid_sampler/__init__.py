@@ -2,17 +2,16 @@
 sampling over C1G2 RFID populations."""
 
 from .analysis import (
-    TimingModel,
     cost_ratio_limit,
     expected_protocol_bits,
     lower_bound_bits,
-    lower_bound_seconds,
     mu,
     reliability_number,
     rho,
     seed_success_lower_bound,
     success_probability,
     success_probability_approx,
+    transmission_time,
 )
 from .baselines import BaselineReport, run_random_select
 from .errors import ConfigurationError, ProtocolError
@@ -32,7 +31,6 @@ from .population import (
     CategorySpec,
     Population,
     Tag,
-    TagState,
     category_tags,
     generate_population,
 )

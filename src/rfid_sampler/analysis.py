@@ -1,4 +1,4 @@
-"""Closed-form quantities: timing model, communication lower bound,
+"""Closed-form quantities: transmission time, communication lower bound,
 expected protocol cost, seed-search probability bounds and reliability
 sizing under missing tags.
 """
@@ -6,32 +6,20 @@ sizing under missing tags.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 LOG2_E = math.log2(math.e)
 
 # 96 bits at 26.7 kbps plus one 302 us inter-transmission gap; the
 # per-96-bit value is conventionally quoted to 0.1 us and treated as exact.
-READER_RATE_BPS = 26_700.0
-GAP_SECONDS = 302e-6
 T96_SECONDS = 3897.5e-6
 
 
-@dataclass(frozen=True)
-class TimingModel:
-    """Reader-to-tag air interface; cost is linear in broadcast bits."""
-
-    t96: float = T96_SECONDS  # seconds per 96-bit unit, gap included
-
-    @classmethod
-    def from_rate(cls, rate_bps: float = READER_RATE_BPS, gap_seconds: float = GAP_SECONDS):
-        return cls(t96=96.0 / rate_bps + gap_seconds)
-
-    def transmission_time(self, bits: float) -> float:
-        """Seconds to broadcast the given number of bits, prorated on t96."""
-        if bits < 0:
-            raise ValueError(f"bits must be >= 0, got {bits}")
-        return bits * self.t96 / 96.0
+def transmission_time(bits: float) -> float:
+    """Seconds to broadcast the given number of reader-to-tag bits, prorated
+    on the 96-bit time (cost is linear in broadcast bits)."""
+    if bits < 0:
+        raise ValueError(f"bits must be >= 0, got {bits}")
+    return bits * T96_SECONDS / 96.0
 
 
 def lower_bound_bits(cs) -> float:
@@ -39,11 +27,6 @@ def lower_bound_bits(cs) -> float:
     problem must broadcast at least sum_k log2(e) * c_k bits."""
     _check_counts(cs)
     return LOG2_E * float(sum(cs))
-
-
-def lower_bound_seconds(cs, timing: TimingModel | None = None) -> float:
-    timing = timing or TimingModel()
-    return timing.transmission_time(lower_bound_bits(cs))
 
 
 def expected_protocol_bits(ns, cs) -> float:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .population import Population, halves_to_ids
-from .selgen import SELECT_FIXED_BITS, SelectCommand
+from .selgen import SELECT_FIXED_BITS
 
 ID_MASK_BITS = 96
 
@@ -40,18 +40,7 @@ def run_random_select(
     return reports
 
 
-def naive_threshold_commands(tau: int, width: int, pointer: int = 0) -> list[SelectCommand]:
-    """One exact-match command per value in [0, tau]: the cost that prefix
-    merging is meant to remove."""
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    if not 0 <= tau < (1 << width):
-        raise ValueError(f"tau={tau} does not fit in {width} bits")
-    return [
-        SelectCommand(pointer=pointer, mask=format(v, f"0{width}b"))
-        for v in range(tau + 1)
-    ]
-
-
 def naive_threshold_bits(tau: int, width: int) -> int:
+    """Cost of one exact-match command per value in [0, tau]: the cost that
+    prefix merging is meant to remove."""
     return (tau + 1) * (SELECT_FIXED_BITS + width)

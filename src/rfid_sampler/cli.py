@@ -88,7 +88,7 @@ def cmd_selgen(args) -> int:
             f"need 0 <= tau < 2^bits, got tau={args.tau}, bits={args.bits}"
         )
     filters = selgen_filters(args.tau, args.bits)
-    commands = selgen_commands(args.tau, args.bits, pointer=args.pointer)
+    commands = selgen_commands(args.tau, args.bits)
     print(f"threshold {args.tau} over {args.bits}-bit hashes: "
           f"{len(commands)} Select commands")
     for filt, cmd in zip(filters, commands):
@@ -99,15 +99,16 @@ def cmd_selgen(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from .analysis import transmission_time
     from .harness import bounds_report
 
     row = bounds_report(args.k, _parse_int_list(args.c),
                         _parse_int_list(args.n) if args.n else None)
     print(f"K={row['K']} sum_c={row['sum_c']} "
           f"lower_bound={row['lower_bound_bits']:.1f} bits "
-          f"({row['lower_bound_seconds'] * 1e3:.3f} ms)  "
+          f"({transmission_time(row['lower_bound_bits']) * 1e3:.3f} ms)  "
           f"expected={row['expected_bits']:.1f} bits "
-          f"({row['expected_seconds'] * 1e3:.3f} ms)  "
+          f"({transmission_time(row['expected_bits']) * 1e3:.3f} ms)  "
           f"ratio={row['ratio']:.4f}")
     return EXIT_OK
 
@@ -145,8 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("selgen", help="show Select commands for a threshold")
     p.add_argument("--tau", type=int, required=True)
     p.add_argument("--bits", type=int, required=True, help="hash width in bits")
-    p.add_argument("--pointer", type=int, default=80,
-                   help="0-based EPC bit offset of the hash window")
     p.set_defaults(fn=cmd_selgen)
 
     p = sub.add_parser("bounds", help="lower bound vs expected protocol cost")

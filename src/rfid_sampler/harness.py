@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import TimingModel, expected_protocol_bits, lower_bound_bits, reliability_number
+from .analysis import (
+    expected_protocol_bits, lower_bound_bits, reliability_number, transmission_time,
+)
 from .baselines import run_random_select
 from .errors import ConfigurationError
 from .population import generate_population
@@ -29,7 +31,6 @@ CSV_COLUMNS = [
     "bits", "seconds", "lb_seconds", "ratio",
 ]
 PROTOCOLS = ("optc", "optc-impl", "random-select")
-_TIMING = TimingModel()
 
 
 @dataclass
@@ -49,6 +50,10 @@ class ScenarioConfig:
             raise ConfigurationError(f"{self.scenario_id}: K must be >= 1")
         if self.trials < 1:
             raise ConfigurationError(f"{self.scenario_id}: trials must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigurationError(
+                f"{self.scenario_id}: seed must be >= 0, got {self.rng_seed}"
+            )
         if len(self.ns) != self.K or len(self.cs) != self.K:
             raise ConfigurationError(
                 f"{self.scenario_id}: schedules must expand to length K={self.K}"
@@ -61,6 +66,8 @@ class ScenarioConfig:
                 )
         if not self.protocols:
             raise ConfigurationError(f"{self.scenario_id}: no protocols listed")
+        if len(set(self.protocols)) != len(self.protocols):
+            raise ConfigurationError(f"{self.scenario_id}: a protocol is listed twice")
         for p in self.protocols:
             if p not in PROTOCOLS:
                 raise ConfigurationError(
@@ -190,8 +197,8 @@ def run_trial(
         sum_n=sum(point.ns),
         sum_c=sum(point.cs),
         bits=bits,
-        seconds=_TIMING.transmission_time(bits),
-        lb_seconds=_TIMING.transmission_time(lb_bits),
+        seconds=transmission_time(bits),
+        lb_seconds=transmission_time(lb_bits),
     )
 
 
@@ -254,46 +261,9 @@ def run_scenarios(config_path: str, out_path: str, seed_override: int | None = N
     return rows
 
 
-def preset_deployment_1(trials: int = 10, seed: int = 7) -> list[ScenarioConfig]:
-    """Small-testbed shape: growing category count, n=20, c=5."""
-    return [
-        ScenarioConfig(
-            scenario_id=f"deploy-1-K{K}",
-            K=K, ns=[20] * K, cs=[5] * K, trials=trials, rng_seed=seed,
-            protocols=("optc-impl", "random-select"),
-        )
-        for K in (2, 4, 6, 8, 10)
-    ]
-
-
-def preset_deployment_2(trials: int = 10, seed: int = 7) -> list[ScenarioConfig]:
-    """Small-testbed shape: K=8, growing category size, c=4."""
-    return [
-        ScenarioConfig(
-            scenario_id=f"deploy-2-n{n}",
-            K=8, ns=[n] * 8, cs=[4] * 8, trials=trials, rng_seed=seed,
-            protocols=("optc-impl", "random-select"),
-        )
-        for n in (10, 15, 20, 25)
-    ]
-
-
-def preset_deployment_3(trials: int = 10, seed: int = 7) -> list[ScenarioConfig]:
-    """Small-testbed shape: K=8, sizes alternating 20/30, growing c."""
-    ns = [20 if k % 2 == 1 else 30 for k in range(1, 9)]
-    return [
-        ScenarioConfig(
-            scenario_id=f"deploy-3-c{c}",
-            K=8, ns=list(ns), cs=[c] * 8, trials=trials, rng_seed=seed,
-            protocols=("optc-impl", "random-select"),
-        )
-        for c in (2, 4, 6, 8, 10)
-    ]
-
-
 def bounds_report(K: int, cs, ns=None) -> dict:
-    """The lower bound and the expected protocol cost of one configuration;
-    `cs`/`ns` may be single ints (replicated) or K-length lists."""
+    """The lower bound and the expected protocol cost of one configuration,
+    in bits; `cs`/`ns` may be single ints (replicated) or K-length lists."""
     if K < 1:
         raise ConfigurationError(f"need K >= 1 categories, got {K}")
     cs = [cs] * K if isinstance(cs, int) else list(cs)
@@ -313,9 +283,7 @@ def bounds_report(K: int, cs, ns=None) -> dict:
         "K": K,
         "sum_c": sum(cs),
         "lower_bound_bits": gamma,
-        "lower_bound_seconds": _TIMING.transmission_time(gamma),
         "expected_bits": expected,
-        "expected_seconds": _TIMING.transmission_time(expected),
         "ratio": expected / gamma,
     }
 

@@ -39,7 +39,6 @@ class SeedSpec:
 @dataclass
 class SeedSearchStats:
     tests: int
-    found: bool
     selected_count: int
     seed: SeedSpec | None = None  # the accepted seed, None on exhaustion
 
@@ -95,16 +94,11 @@ def suitable_from_count(count: int, c: int) -> bool:
     return c <= count <= suitable_upper(c)
 
 
-def seed_pool(length: int) -> list[int]:
-    """Valid start positions of a substring of `length` bits."""
-    return list(range(1, ID_BITS - length + 2))
-
-
 def window_starts(length: int) -> list[int]:
     """Start positions the Select-command search tries: those inside the
     last 16-bit block first, then every other start, so a search that runs
     dry inside the block widens to the whole ID."""
-    full = seed_pool(length)
+    full = list(range(1, ID_BITS - length + 2))
     return full[_COTS_FIRST_BIT - 1:] + full[: _COTS_FIRST_BIT - 1]
 
 
@@ -131,8 +125,8 @@ def find_suitable_seed(
         vals = substring_values(hi, lo, seed) % np.uint64(n)
         count = int(np.count_nonzero(vals <= thr))
         if suitable_from_count(count, c):
-            return vals, SeedSearchStats(tests=tests, found=True, selected_count=count, seed=seed)
-    return None, SeedSearchStats(tests=tests, found=False, selected_count=count)
+            return vals, SeedSearchStats(tests=tests, selected_count=count, seed=seed)
+    return None, SeedSearchStats(tests=tests, selected_count=count)
 
 
 def seed_trial_statistics(n: int, c: int, trials: int, rng_seed: int) -> dict:
@@ -155,7 +149,7 @@ def seed_trial_statistics(n: int, c: int, trials: int, rng_seed: int) -> dict:
         # path skips the dedup pass that generate_population performs
         halves = rng.integers(0, 1 << _HALF_BITS, size=(n, 2), dtype=np.uint64)
         _, stats = find_suitable_seed(halves[:, 0], halves[:, 1], c, rng=rng)
-        if not stats.found:
+        if stats.seed is None:
             raise RuntimeError(f"seed pool exhausted for n={n}, c={c}")
         tests_seen.append(stats.tests)
         if stats.tests == 1:

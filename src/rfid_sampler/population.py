@@ -7,12 +7,12 @@ within a population (collisions are resolved by redraw).
 A population is stored as arrays: each ID as its high and low 48-bit halves,
 categories contiguous and ascending by ID inside each, with CSR offsets
 marking where each category starts.  The protocol stages work on these
-arrays; per-tag `Tag` objects are built only by `category_tags`.
+arrays and keep no per-tag state, so every run starts from reset;
+`category_tags` lists a category's IDs as `Tag` records.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,20 +24,11 @@ _HALF_BITS = 48
 _MAX_POPULATION = 1 << 20
 
 
-class TagState(enum.Enum):
-    UNACKNOWLEDGED = "unacknowledged"
-    UNSELECTED = "unselected"
-    SELECTED = "selected"
-    READY = "ready"
-
-
 @dataclass(slots=True)
 class Tag:
-    """One tag: 96-bit ID and protocol state."""
+    """One tag, by its 96-bit ID."""
 
     id: int
-    state: TagState = TagState.UNACKNOWLEDGED
-    cnt: int = 0
 
 
 @dataclass(frozen=True)
@@ -71,10 +62,6 @@ class Population:
 
     def __post_init__(self):
         self._index = {s.k: i for i, s in enumerate(self.categories)}
-
-    @property
-    def size(self) -> int:
-        return len(self.hi)
 
     def halves(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(hi, lo) ID halves of category k, ascending by ID (views, not copies)."""
@@ -148,13 +135,6 @@ def halves_to_ids(hi: np.ndarray, lo: np.ndarray) -> list[int]:
     return [(h << _HALF_BITS) | l for h, l in zip(hi.tolist(), lo.tolist())]
 
 
-def make_tags(
-    hi: np.ndarray, lo: np.ndarray, state: TagState = TagState.UNACKNOWLEDGED
-) -> list[Tag]:
-    """One fresh Tag per (hi, lo) ID half pair, in the given order."""
-    return [Tag(id=i, state=state) for i in halves_to_ids(hi, lo)]
-
-
 def generate_population(
     category_sizes: list[tuple[int, int]], rng_seed: int
 ) -> Population:
@@ -178,6 +158,5 @@ def generate_population(
 
 
 def category_tags(population: Population, k: int) -> list[Tag]:
-    """Fresh Unacknowledged tags of category k, ordered by ascending ID."""
-    hi, lo = population.halves(k)
-    return make_tags(hi, lo)
+    """The tags of category k, ordered by ascending ID."""
+    return [Tag(id=i) for i in halves_to_ids(*population.halves(k))]

@@ -49,7 +49,7 @@ class RoundOutcome:
     iterations: int = 0
     bits_sent: int = 0
     payload_bits: int = 0
-    seed_tests: int = 0
+    seed_tests: int = 0                 # coarse stage: seeds tested
     # Coarse stage: positions of the Selected tags in the category's ID
     # arrays.  Refinement stage: pool rows of the Ready tags, by order.
     positions: np.ndarray | None = None
@@ -244,7 +244,6 @@ def run_optc(
         out = optc2_round((hi[first.positions], lo[first.positions]), spec.c)
         ledger.bits_reader_to_tag += out.bits_sent
         ledger.payload_bits += out.payload_bits
-        out.seed_tests = first.seed_tests
         out.bits_sent += first.bits_sent
         outcomes.append(out)
     return outcomes, ledger

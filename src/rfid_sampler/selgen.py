@@ -2,9 +2,11 @@
 
 A threshold tau over L-bit hash values is turned into a short list of
 prefix filters (strings over {0, 1, *}) that jointly match exactly the
-values in [0, tau].  Each filter becomes one Select command; commands are
-costed at the C1G2 wire format: Target(3) + Action(3) + MemBank(2) +
-Pointer(16) + Length(8) + Mask(mask length) bits.
+values in [0, tau].  Each filter becomes one Select command whose mask is
+the filter without its trailing stars, so a command costs the fixed C1G2
+fields (SELECT_FIXED_BITS) plus its mask length.  Where the hash window
+starts is recorded per stage (`ImplRoundResult.coarse_seed`,
+`refine_seed`), not per command.
 """
 
 from __future__ import annotations
@@ -25,18 +27,17 @@ from .hashing import (
 )
 from .population import Population, halves_to_ids
 
-SELECT_FIXED_BITS = 3 + 3 + 2 + 16 + 8  # everything except the mask
-_TARGET_SL = "100"  # session flag SL
-_ACTION_ASSERT = "000"
-_MEMBANK_EPC = "01"
+# Target(3) + Action(3) + MemBank(2) + Pointer(16) + Length(8): every
+# field except the mask, charged at full width whatever its value
+SELECT_FIXED_BITS = 3 + 3 + 2 + 16 + 8
 
 
 @dataclass(frozen=True)
 class SelectCommand:
-    """One C1G2 Select command matching an exact bit pattern of the EPC."""
+    """One C1G2 Select command, costed by its mask: the bit pattern, MSB
+    first, that a tag compares against its EPC's hash window."""
 
-    pointer: int    # 0-based first bit of the compared EPC region
-    mask: str       # bit pattern the tag compares against, MSB first
+    mask: str
 
     @property
     def length(self) -> int:
@@ -45,17 +46,6 @@ class SelectCommand:
     @property
     def bit_cost(self) -> int:
         return SELECT_FIXED_BITS + self.length
-
-    def encode(self) -> str:
-        """Wire image as a bit string, fields MSB first."""
-        return (
-            _TARGET_SL
-            + _ACTION_ASSERT
-            + _MEMBANK_EPC
-            + format(self.pointer, "016b")
-            + format(self.length, "08b")
-            + self.mask
-        )
 
 
 def selgen_filters(tau: int, width: int) -> list[str]:
@@ -82,16 +72,6 @@ def selgen_filters(tau: int, width: int) -> list[str]:
     return filters
 
 
-def filter_matches(filt: str, value: int) -> bool:
-    bits = format(value, f"0{len(filt)}b")
-    return all(f in ("*", b) for f, b in zip(filt, bits))
-
-
-def select_matches(filters: list[str], value: int) -> bool:
-    """True iff any filter in the set matches the value (tags OR them)."""
-    return any(filter_matches(f, value) for f in filters)
-
-
 def command_count(tau: int, width: int) -> int:
     """Closed form for len(selgen_filters(tau, width)).
 
@@ -107,13 +87,9 @@ def command_count(tau: int, width: int) -> int:
     return bin(tau >> (t + 1)).count("1") + 1
 
 
-def selgen_commands(tau: int, width: int, pointer: int) -> list[SelectCommand]:
+def selgen_commands(tau: int, width: int) -> list[SelectCommand]:
     """Select commands for the filters; stars become a shorter compare length."""
-    cmds = []
-    for filt in selgen_filters(tau, width):
-        mask = filt.rstrip("*")
-        cmds.append(SelectCommand(pointer=pointer, mask=mask))
-    return cmds
+    return [SelectCommand(mask=filt.rstrip("*")) for filt in selgen_filters(tau, width)]
 
 
 def commands_bit_cost(cmds: list[SelectCommand]) -> int:
@@ -211,7 +187,7 @@ def run_impl_category(
     if coarse_seed is None:
         raise ProtocolError(f"no coarse hash window suits n={n}, c={c}")
     sel_idx = np.flatnonzero(coarse_vals <= tau1)
-    cmds = selgen_commands(tau1, L1, pointer=coarse_seed.start - 1)
+    cmds = selgen_commands(tau1, L1)
 
     # stage two: exact selection among the l survivors
     l = len(sel_idx)
@@ -233,7 +209,7 @@ def run_impl_category(
         raise ProtocolError(f"no refine hash window separates c={c} of l={l} tags")
 
     tau2 = best_threshold(np.sort(refine_vals).tolist(), c, L2)
-    cmds += selgen_commands(tau2, L2, pointer=refine_seed.start - 1)
+    cmds += selgen_commands(tau2, L2)
 
     picked = np.flatnonzero(refine_vals <= tau2)
     if len(picked) != c:

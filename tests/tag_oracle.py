@@ -9,10 +9,21 @@ the scalar tag-side rule, with seeds and frame lengths from the schedule in
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from rfid_sampler.errors import ProtocolError
 from rfid_sampler.hashing import SeedSpec
-from rfid_sampler.population import ID_BITS, Tag, TagState
+from rfid_sampler.population import ID_BITS
 from rfid_sampler.protocol import default_iteration_cap, refine_frame_length, refine_seed
+
+
+@dataclass
+class Tag:
+    """One tag of the automaton: ID, protocol state and order counter."""
+
+    id: int
+    state: str = "unacknowledged"  # then "selected", and "ready" or "unselected"
+    cnt: int = 0
 
 
 def substring_hash(id: int, seed: SeedSpec) -> int:
@@ -44,11 +55,11 @@ def build_frame(slots: list[int], needed: int, length: int) -> list[int]:
 def tag_apply_frame(tag: Tag, bits: list[int], slot: int) -> Tag:
     """Promote to Ready with order cnt + ones through the slot, or add the
     frame's ones and stay Selected; a slot past the frame's end reads 0."""
-    if tag.state is not TagState.SELECTED:
+    if tag.state != "selected":
         raise ProtocolError(f"tag {tag.id:#x} is not in the selected state")
     if slot < len(bits) and bits[slot]:
         tag.cnt += sum(bits[: slot + 1])
-        tag.state = TagState.READY
+        tag.state = "ready"
     else:
         tag.cnt += sum(bits)
     return tag
@@ -57,7 +68,7 @@ def tag_apply_frame(tag: Tag, bits: list[int], slot: int) -> Tag:
 def refine(ids: list[int], c: int) -> dict:
     """Run the refinement stage tag by tag.  Returns the frames as sent,
     the (ID, order) pairs each frame promoted, and the final outcome."""
-    pool = [Tag(id=i, state=TagState.SELECTED) for i in ids]
+    pool = [Tag(id=i, state="selected") for i in ids]
     frames, promoted, ready = [], [], []
     while len(ready) < c:
         if len(frames) >= default_iteration_cap(c):
@@ -75,14 +86,14 @@ def refine(ids: list[int], c: int) -> dict:
         now = []
         for tag, slot in zip(pool, slots):
             tag_apply_frame(tag, bits, slot)
-            if tag.state is TagState.READY:
+            if tag.state == "ready":
                 now.append((tag.id, tag.cnt))
         now.sort(key=lambda x: x[1])
         promoted.append(now)
         ready.extend(now)
-        pool = [t for t in pool if t.state is TagState.SELECTED]
+        pool = [t for t in pool if t.state == "selected"]
     for tag in pool:
-        tag.state = TagState.UNSELECTED
+        tag.state = "unselected"
     return {
         "frames": frames,
         "promoted": promoted,

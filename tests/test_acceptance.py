@@ -17,15 +17,9 @@ a refinement stage that paid a header per iteration measures 4.63 and fails.
 import math
 import statistics
 
-from rfid_sampler import TimingModel, generate_population, mu, reliability_number, rho
-from rfid_sampler.harness import (
-    ScenarioConfig,
-    preset_deployment_1,
-    preset_deployment_2,
-    preset_deployment_3,
-    _trial_rng,
-    run_trial,
-)
+from deployments import deployment_shapes
+from rfid_sampler import generate_population, mu, reliability_number, rho, transmission_time
+from rfid_sampler.harness import ScenarioConfig, _trial_rng, run_trial
 from rfid_sampler.analysis import LOG2_E, lower_bound_bits
 from rfid_sampler.protocol import optc1_header_bits, run_optc
 from rfid_sampler.selgen import command_budget, run_optc_impl
@@ -78,7 +72,6 @@ def design_ratio_bound(n: int, c: int) -> float:
 
 
 def test_criterion_5_near_optimality():
-    timing = TimingModel()
     details, ok = [], True
     ratios_by_c = {}
     # c = 50 keeps the 2.1 band; at c = 10 the design's own cost exceeds it.
@@ -94,9 +87,9 @@ def test_criterion_5_near_optimality():
                 rng = _trial_rng(point.rng_seed, K, "optc", trial)
                 pop = generate_population(list(zip(point.ns, point.cs)), int(rng.integers(0, 2**63)))
                 _, ledger = run_optc(pop, rng)
-                lb = timing.transmission_time(lower_bound_bits(point.cs))
-                ratios.append(timing.transmission_time(ledger.bits_reader_to_tag) / lb)
-                payload_ratios.append(timing.transmission_time(ledger.payload_bits) / lb)
+                lb = transmission_time(lower_bound_bits(point.cs))
+                ratios.append(transmission_time(ledger.bits_reader_to_tag) / lb)
+                payload_ratios.append(transmission_time(ledger.payload_bits) / lb)
         mean = statistics.fmean(ratios)
         ratios_by_c[c] = mean
         upper = upper_by_c[c]
@@ -125,7 +118,7 @@ def test_criterion_7_closed_form_anchors():
     checks.append(("mu(1)", abs(mu(1) - 0.3996) <= 1e-4))
     checks.append(("rho(1)", abs(rho(1) - 0.1991) <= 1e-4))
     checks.append(("reliability(0.9, 0.01)", reliability_number(0.9, 0.01) == 44))
-    checks.append(("t96", TimingModel().transmission_time(96) == 3897.5e-6))
+    checks.append(("t96", transmission_time(96) == 3897.5e-6))
     ok = all(passed for _, passed in checks)
     detail = ", ".join(f"{name} {'ok' if passed else 'BAD'}" for name, passed in checks)
     assert _report("criterion 7 (closed-form anchors)", ok, detail)
@@ -135,8 +128,8 @@ def test_criterion_8_command_budget():
     trials = 40
     total = wins = 0
     budget_violations = 0
-    for preset in (preset_deployment_1, preset_deployment_2, preset_deployment_3):
-        for i, point in enumerate(preset(trials=trials, seed=808)):
+    for points in deployment_shapes(trials=trials, seed=808):
+        for i, point in enumerate(points):
             budget = sum(command_budget(c) for c in point.cs)
             for trial in range(trials):
                 rng = _trial_rng(point.rng_seed, i, "optc-impl", trial)

@@ -5,36 +5,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rfid_sampler import (
-    TimingModel,
     cost_ratio_limit,
     expected_protocol_bits,
     lower_bound_bits,
-    lower_bound_seconds,
     mu,
     reliability_number,
     rho,
     seed_success_lower_bound,
     success_probability,
     success_probability_approx,
+    transmission_time,
 )
+from rfid_sampler.analysis import T96_SECONDS
 
 
 class TestTiming:
     def test_t96_exact(self):
-        assert TimingModel().transmission_time(96) == pytest.approx(3897.5e-6, abs=0)
+        assert transmission_time(96) == pytest.approx(3897.5e-6, abs=0)
 
     def test_linear_in_bits(self):
-        t = TimingModel()
-        assert t.transmission_time(48) == pytest.approx(t.transmission_time(96) / 2)
-        assert t.transmission_time(0) == 0.0
+        assert transmission_time(48) == pytest.approx(transmission_time(96) / 2)
+        assert transmission_time(0) == 0.0
 
     def test_from_rate_close_to_quoted_constant(self):
-        derived = TimingModel.from_rate().transmission_time(96)
-        assert derived == pytest.approx(3897.5e-6, rel=1e-4)
+        # 96 bits at 26.7 kbps plus one 302 us inter-transmission gap
+        assert 96 / 26_700 + 302e-6 == pytest.approx(T96_SECONDS, rel=1e-4)
 
     def test_negative_bits_rejected(self):
         with pytest.raises(ValueError):
-            TimingModel().transmission_time(-1)
+            transmission_time(-1)
 
 
 class TestLowerBound:
@@ -43,7 +42,7 @@ class TestLowerBound:
         assert lower_bound_bits([1]) == pytest.approx(math.log2(math.e))
 
     def test_single_sample_time(self):
-        assert lower_bound_seconds([1]) == pytest.approx(58.6e-6, rel=1e-2)
+        assert transmission_time(lower_bound_bits([1])) == pytest.approx(58.6e-6, rel=1e-2)
 
     def test_ratio_limit(self):
         assert cost_ratio_limit() == pytest.approx(1.8842, abs=1e-4)

@@ -1,8 +1,7 @@
 import numpy as np
-import pytest
 
 from rfid_sampler import category_tags, generate_population, run_random_select
-from rfid_sampler.baselines import naive_threshold_bits, naive_threshold_commands
+from rfid_sampler.baselines import naive_threshold_bits
 from rfid_sampler.selgen import SELECT_FIXED_BITS, commands_bit_cost, selgen_commands
 
 
@@ -26,18 +25,13 @@ def test_random_select_distinct_picks():
 
 
 def test_naive_enumeration_matches_same_range():
-    cmds = naive_threshold_commands(5, 3)
-    assert [c.mask for c in cmds] == ["000", "001", "010", "011", "100", "101"]
-    assert naive_threshold_bits(5, 3) == 6 * (SELECT_FIXED_BITS + 3)
+    # one full-width exact-match mask per value in [0, 5]
+    masks = ["000", "001", "010", "011", "100", "101"]
+    assert naive_threshold_bits(5, 3) == sum(SELECT_FIXED_BITS + len(m) for m in masks)
 
 
 def test_prefix_merging_always_at_most_naive():
     for width in range(1, 10):
         for tau in range(1 << width):
-            merged = commands_bit_cost(selgen_commands(tau, width, pointer=0))
+            merged = commands_bit_cost(selgen_commands(tau, width))
             assert merged <= naive_threshold_bits(tau, width)
-
-
-def test_naive_validation():
-    with pytest.raises(ValueError):
-        naive_threshold_commands(8, 3)

@@ -32,3 +32,15 @@ def test_run_optc_takes_the_population_first():
     from rfid_sampler.protocol import run_optc
 
     assert next(iter(inspect.signature(run_optc).parameters)) == "population"
+
+
+def test_category_tags_ids_match_the_population_halves():
+    # spans.check_optc_outcomes checks sampled IDs against
+    # {t.id for t in category_tags(...)}; it must be the category's IDs
+    from rfid_sampler.population import category_tags, generate_population, halves_to_ids
+
+    pop = generate_population([(7, 2), (40, 5), (1, 1)], rng_seed=6)
+    for spec in pop.categories:
+        ids = {t.id for t in category_tags(pop, spec.k)}
+        assert ids == set(halves_to_ids(*pop.halves(spec.k)))
+        assert len(ids) == spec.n

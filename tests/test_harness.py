@@ -9,11 +9,11 @@ from rfid_sampler.harness import (
     ScenarioConfig,
     aggregate,
     bounds_report,
-    preset_deployment_3,
     reliability_report,
     run_points,
     run_scenarios,
 )
+from deployments import deployment_shapes
 
 GOOD_CONFIG = """\
 [small-sweep]
@@ -101,9 +101,13 @@ class TestResults:
         )
 
     def test_alternating_preset_shape(self):
-        points = preset_deployment_3(trials=1)
+        points = deployment_shapes(trials=1, seed=7)[2]
         assert all(p.ns == [20, 30] * 4 for p in points)
         assert [p.cs[0] for p in points] == [2, 4, 6, 8, 10]
+        rows = run_points(points)
+        assert [(r.protocol, r.sum_n, r.sum_c) for r in rows[:2]] == [
+            ("optc-impl", 200, 16), ("random-select", 200, 16)]
+        assert len(rows) == 10 and all(r.ratio > 1.0 for r in rows)
 
 
 class TestReports:
@@ -131,6 +135,13 @@ class TestCli:
         monkeypatch.setenv("RFID_SAMPLER_SEED", "31337")
         main(["simulate", "--config", config, "--out", out2])
         assert open(out1).read() != open(out2).read()
+
+    def test_negative_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("RFID_SAMPLER_SEED", "-3")
+        argv = ["simulate", "--config", _write(tmp_path, GOOD_CONFIG),
+                "--out", str(tmp_path / "o.csv")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("configuration error:")
 
     def test_bad_config_exits_2(self, tmp_path):
         config = _write(tmp_path, "[x]\nK = 2\nn = 5\nc = 9\n")
@@ -165,6 +176,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "2 Select commands" in out
 
+    def test_selgen_full_output(self, capsys):
+        assert main(["selgen", "--tau", "44", "--bits", "6"]) == 0
+        assert capsys.readouterr().out == (
+            "threshold 44 over 6-bit hashes: 4 Select commands\n"
+            "  filter 0*****  mask 0  length 1  cost 33 bits\n"
+            "  filter 100***  mask 100  length 3  cost 35 bits\n"
+            "  filter 1010**  mask 1010  length 4  cost 36 bits\n"
+            "  filter 101100  mask 101100  length 6  cost 38 bits\n"
+            "total 142 bits\n"
+        )
+
     def test_selgen_bad_tau_exits_2(self):
         assert main(["selgen", "--tau", "9", "--bits", "3"]) == 2
 
@@ -188,6 +210,9 @@ class TestCli:
                      id="alpha-sweep-over-10000-points"),
         pytest.param(GOOD_CONFIG.replace("optc, random-select", ","), None,
                      id="protocols-empty"),
+        pytest.param(GOOD_CONFIG.replace("optc, random-select", "optc, optc"), None,
+                     id="protocols-repeated"),
+        pytest.param(GOOD_CONFIG.replace("seed = 9", "seed = -1"), None, id="seed-negative"),
     ])
     def test_bad_input_exits_2(self, tmp_path, capsys, config, argv):
         if config is not None:

@@ -9,7 +9,6 @@ from rfid_sampler import SeedSpec, find_suitable_seed
 from rfid_sampler.hashing import (
     _COTS_FIRST_BIT,
     mod_hash_width,
-    seed_pool,
     seed_trial_statistics,
     selection_threshold,
     substring_values,
@@ -108,11 +107,12 @@ def test_threshold_values():
 
 
 def test_seed_pool_windows():
-    assert seed_pool(4) == list(range(1, 94))
-    assert seed_pool(96) == [1]
-    # search order: the starts inside the last 16-bit block, then the rest
+    # every valid start once: the starts inside the last 16-bit block
+    # first, then the rest
+    assert sorted(window_starts(4)) == list(range(1, 94))
+    assert window_starts(96) == [1]
     for L in (4, 10, 16, 17, 26):
-        full = seed_pool(L)
+        full = list(range(1, 96 - L + 2))
         cots = [s for s in full if s >= _COTS_FIRST_BIT]
         starts = window_starts(L)
         assert starts[:len(cots)] == cots

@@ -1,13 +1,7 @@
 import numpy as np
 import pytest
 
-from rfid_sampler import (
-    ConfigurationError,
-    TagState,
-    category_tags,
-    generate_population,
-    run_optc,
-)
+from rfid_sampler import ConfigurationError, category_tags, generate_population
 from rfid_sampler.population import (
     _category_order,
     _first_occurrences,
@@ -18,7 +12,6 @@ from rfid_sampler.population import (
 
 def test_sizes_and_partition():
     pop = generate_population([(10, 3), (25, 5)], rng_seed=1)
-    assert pop.size == 35
     assert [s.n for s in pop.categories] == [10, 25]
     assert [s.c for s in pop.categories] == [3, 5]
     assert len(category_tags(pop, 1)) == 10
@@ -60,20 +53,6 @@ def test_unknown_category_raises():
 def test_invalid_specs_rejected(sizes):
     with pytest.raises(ConfigurationError):
         generate_population(sizes, rng_seed=0)
-
-
-def test_states_start_unacknowledged_and_reset():
-    # The population holds IDs only, so every protocol run starts from
-    # reset: neither a changed tag nor a full run leaves state behind.
-    pop = generate_population([(8, 2)], rng_seed=5)
-    tags = category_tags(pop, 1)
-    assert all(t.state is TagState.UNACKNOWLEDGED and t.cnt == 0 for t in tags)
-    tags[0].state = TagState.READY
-    tags[0].cnt = 3
-    run_optc(pop, np.random.default_rng(0))
-    fresh = category_tags(pop, 1)
-    assert [t.id for t in fresh] == [t.id for t in tags]
-    assert all(t.state is TagState.UNACKNOWLEDGED and t.cnt == 0 for t in fresh)
 
 
 def _reference_ids(n, rng):
@@ -149,7 +128,7 @@ def test_population_matches_reference_loop():
 
 def test_desk_scale_cap():
     pop = generate_population([(1 << 19, 1), (1 << 19, 5)], rng_seed=4)
-    assert pop.size == 1 << 20
+    assert len(pop.hi) == 1 << 20
     order = np.lexsort((pop.lo, pop.hi))
     h, l = pop.hi[order], pop.lo[order]
     assert not ((h[1:] == h[:-1]) & (l[1:] == l[:-1])).any()

@@ -16,7 +16,7 @@ from rfid_sampler import (
 )
 from rfid_sampler import protocol
 from rfid_sampler.hashing import find_suitable_seed, selection_threshold
-from rfid_sampler.population import Tag, TagState, halves_to_ids
+from rfid_sampler.population import halves_to_ids
 from rfid_sampler.protocol import (
     optc1_header_bits,
     refine_frame_length,
@@ -91,7 +91,7 @@ class TestFrame:
         row leaves the pool before the next frame, so no tag is promoted
         twice.  The per-tag oracle refuses a tag that is not Selected."""
         with pytest.raises(ProtocolError):
-            tag_oracle.tag_apply_frame(Tag(id=1), [1], 0)
+            tag_oracle.tag_apply_frame(tag_oracle.Tag(id=1), [1], 0)
 
         calls = []
 

@@ -19,11 +19,10 @@ from rfid_sampler.selgen import (
     SELECT_FIXED_BITS,
     command_budget,
     commands_bit_cost,
-    filter_matches,
     run_impl_category,
     scaled_coarse_threshold,
-    select_matches,
 )
+from rfid_sampler.verify import _filter_interval
 
 
 class TestFilterGeneration:
@@ -52,10 +51,11 @@ class TestFilterGeneration:
     def test_cover_exact_and_disjoint(self, width, data):
         tau = data.draw(st.integers(0, (1 << width) - 1))
         filters = selgen_filters(tau, width)
-        matched = [v for v in range(1 << width) if select_matches(filters, v)]
-        assert matched == list(range(tau + 1))
-        for v in matched:
-            assert sum(filter_matches(f, v) for f in filters) == 1
+        assert all(len(f) == width for f in filters)
+        # each filter matches one interval; laid end to end they tile [0, tau]
+        intervals = sorted(_filter_interval(f) for f in filters)
+        assert intervals[0][0] == 0 and intervals[-1][1] == tau
+        assert all(b + 1 == a for (_, b), (a, _) in zip(intervals, intervals[1:]))
 
     @given(width=st.integers(1, 16), data=st.data())
     @settings(max_examples=300, deadline=None)
@@ -75,15 +75,10 @@ class TestFilterGeneration:
 
 
 class TestSelectEncoding:
-    def test_wire_fields(self):
-        cmd = SelectCommand(pointer=80, mask="10")
-        encoded = cmd.encode()
-        assert encoded == "100" + "000" + "01" + format(80, "016b") + "00000010" + "10"
-        assert len(encoded) == cmd.bit_cost == SELECT_FIXED_BITS + 2
-
     def test_commands_strip_stars(self):
-        cmds = selgen_commands(5, 3, pointer=80)
-        assert [c.mask for c in cmds] == ["0", "10"]
+        cmds = selgen_commands(5, 3)
+        assert cmds == [SelectCommand(mask="0"), SelectCommand(mask="10")]
+        assert [c.length for c in cmds] == [1, 2]
         assert commands_bit_cost(cmds) == (SELECT_FIXED_BITS + 1) + (SELECT_FIXED_BITS + 2)
 
 
