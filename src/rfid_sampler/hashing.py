@@ -39,7 +39,6 @@ class SeedSpec:
 @dataclass
 class SeedSearchStats:
     tests: int
-    selected_count: int
     seed: SeedSpec | None = None  # the accepted seed, None on exhaustion
 
 
@@ -125,8 +124,8 @@ def find_suitable_seed(
         vals = substring_values(hi, lo, seed) % np.uint64(n)
         count = int(np.count_nonzero(vals <= thr))
         if suitable_from_count(count, c):
-            return vals, SeedSearchStats(tests=tests, selected_count=count, seed=seed)
-    return None, SeedSearchStats(tests=tests, selected_count=count)
+            return vals, SeedSearchStats(tests=tests, seed=seed)
+    return None, SeedSearchStats(tests=tests)
 
 
 def seed_trial_statistics(n: int, c: int, trials: int, rng_seed: int) -> dict:

@@ -54,7 +54,6 @@ class Population:
     ascending."""
 
     categories: list[CategorySpec]
-    rng_seed: int
     hi: np.ndarray
     lo: np.ndarray
     offsets: np.ndarray
@@ -152,9 +151,7 @@ def generate_population(
     order = _category_order(hi, lo, sizes)
     offsets = np.zeros(len(specs) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    return Population(
-        categories=specs, rng_seed=rng_seed, hi=hi[order], lo=lo[order], offsets=offsets
-    )
+    return Population(categories=specs, hi=hi[order], lo=lo[order], offsets=offsets)
 
 
 def category_tags(population: Population, k: int) -> list[Tag]:

@@ -27,7 +27,9 @@ implementation of the design above 2.1x there (closed form 2.381x).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
@@ -103,13 +105,15 @@ def build_frame(slot_occupancy, needed: int, length: int) -> np.ndarray:
     been placed so far.  The frame has `length` slots."""
     if needed < 1:
         raise ValueError("needed must be >= 1")
-    slots = np.asarray(slot_occupancy, dtype=np.int64)
-    if len(slots) and (slots.min() < 0 or slots.max() >= length):
+    try:
+        counts = np.bincount(np.asarray(slot_occupancy, dtype=np.int64), minlength=length)
+    except ValueError:  # bincount rejects a negative slot
+        counts = None
+    if counts is None or len(counts) > length:
         raise ValueError(f"slots must lie in [0, {length})")
-    counts = np.bincount(slots, minlength=length)
-    bits = np.zeros(length, dtype=np.uint8)
-    bits[np.flatnonzero(counts == 1)[:needed]] = 1
-    return bits
+    single = counts == 1
+    single[single.nonzero()[0][needed:]] = False
+    return single.view(np.uint8)
 
 
 def tag_apply_frame(
@@ -121,9 +125,10 @@ def tag_apply_frame(
     frame's ones and stays Selected.  A slot past the end of a truncated
     frame reads as 0 (the read clips, then is masked off).  Returns (ready
     mask, new counters)."""
-    ones_through = np.cumsum(bits, dtype=np.int64)
+    ones_through = bits.astype(np.int64).cumsum()
     ready = (bits.take(slots, mode="clip") == 1) & (slots < len(bits))
-    heard = np.where(ready, ones_through.take(slots, mode="clip"), ones_through[-1])
+    heard = ones_through.take(slots, mode="clip")
+    heard[~ready] = ones_through[-1]
     return ready, cnt + heard
 
 
@@ -133,16 +138,16 @@ def refine_frame_length(c: int, needed: int) -> int:
     return needed + math.ceil(3.0 * math.sqrt(c))
 
 
-def refine_seed(c: int, iteration: int) -> SeedSpec:
-    """Seed of refinement iteration `iteration` (1-based), which reader and
-    tags both derive from the iteration index.  One substring width serves
-    the whole stage (sized for its longest, first frame); iteration t starts
-    at bit 1 + (t - 1) * L mod (ID_BITS - L + 1), stepping by that width around
+def refine_seeds(c: int) -> Iterator[SeedSpec]:
+    """Seeds of refinement iterations 1, 2, ..., which reader and tags both
+    derive from the iteration index.  One substring width serves the whole
+    stage (sized for its longest, first frame); iteration t starts at bit
+    1 + (t - 1) * L mod (ID_BITS - L + 1), stepping by that width around
     the valid starts, so consecutive iterations hash disjoint or barely
     overlapping substrings and, as a width of at most 48 bits leaves more
     starts than that, never share one."""
     L = mod_hash_width(refine_frame_length(c, c))
-    return SeedSpec(start=1 + (iteration - 1) * L % (ID_BITS - L + 1), length=L)
+    return (SeedSpec(start=1 + t * L % (ID_BITS - L + 1), length=L) for t in count())
 
 
 def default_iteration_cap(c: int) -> int:
@@ -165,26 +170,19 @@ def optc2_round(
         raise ValueError(f"selected set of {len(hi)} cannot yield c={c}")
     cap = iteration_cap if iteration_cap is not None else default_iteration_cap(c)
 
+    extra = refine_frame_length(c, 0)  # f - r, fixed for the round
     rows = np.arange(len(hi))  # pool indices of the tags still Selected
     cnt = np.zeros(len(hi), dtype=np.int64)
     promoted: list[np.ndarray] = []  # each iteration's Ready rows, by order
     orders: list[np.ndarray] = []
-    done = 0
-    payload = 0
-    iterations = 0
-    while done < c:
-        if iterations >= cap:
-            raise ProtocolError(
-                f"refinement did not converge within {cap} iterations "
-                f"(|ready|={done}, c={c})"
-            )
-        iterations += 1
+    done = payload = 0
+    for iterations, seed in zip(range(1, cap + 1), refine_seeds(c)):
         needed = c - done
-        f = refine_frame_length(c, needed)
-        seed = refine_seed(c, iterations)
-        slots = (substring_values(hi, lo, seed) % np.uint64(f)).astype(np.int64)
+        f = needed + extra
+        # hashes are below 2^48, so their uint64 bits read as the same int64
+        slots = (substring_values(hi, lo, seed) % np.uint64(f)).view(np.int64)
         bits = build_frame(slots, needed=needed, length=f)
-        ones = np.flatnonzero(bits)
+        ones = bits.nonzero()[0]
         if len(ones) == needed:
             # The tags stop listening at the needed-th one, so the frame
             # ends there; otherwise all f bits go out.
@@ -194,28 +192,34 @@ def optc2_round(
         ready, cnt = tag_apply_frame(cnt, bits, slots)
         # Reader-side cross-check: the marked slot of rank i hands out the
         # order done + i + 1, which each promoted tag's counter must equal.
-        hit = np.flatnonzero(ready)
+        hit = ready.nonzero()[0]
         heard = cnt[hit]
-        predicted = done + np.searchsorted(ones, slots[hit]) + 1
-        if not np.array_equal(heard, predicted):
-            bad = np.flatnonzero(heard != predicted)[0]
+        predicted = ones.searchsorted(slots[hit]) + (done + 1)
+        bad = (heard != predicted).nonzero()[0]
+        if len(bad):
             raise ProtocolError(
-                f"counter mismatch on pool row {rows[hit[bad]]}: "
-                f"cnt={heard[bad]}, reader predicts {predicted[bad]}"
+                f"counter mismatch on pool row {rows[hit[bad[0]]]}: "
+                f"cnt={heard[bad[0]]}, reader predicts {predicted[bad[0]]}"
             )
-        by_order = hit[np.argsort(heard)]
+        by_order = hit[heard.argsort()]
         promoted.append(rows[by_order])
         orders.append(cnt[by_order])
         done += len(heard)
+        if done == c:
+            break
         keep = ~ready
         rows, hi, lo, cnt = rows[keep], hi[keep], lo[keep], cnt[keep]
+    else:
+        raise ProtocolError(
+            f"refinement did not converge within {cap} iterations "
+            f"(|ready|={done}, c={c})"
+        )
 
     order = np.concatenate(orders)
     if not np.array_equal(order, np.arange(1, c + 1)):
         raise ProtocolError(f"reporting orders are not a permutation of 1..{c}")
     positions = np.concatenate(promoted)
-    hi, lo = pool
-    ids = halves_to_ids(hi[positions], lo[positions])
+    ids = halves_to_ids(pool[0][positions], pool[1][positions])
     return RoundOutcome(
         ready=list(zip(ids, order.tolist())),
         iterations=iterations,

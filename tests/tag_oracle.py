@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from rfid_sampler.errors import ProtocolError
 from rfid_sampler.hashing import SeedSpec
 from rfid_sampler.population import ID_BITS
-from rfid_sampler.protocol import default_iteration_cap, refine_frame_length, refine_seed
+from rfid_sampler.protocol import default_iteration_cap, refine_frame_length, refine_seeds
 
 
 @dataclass
@@ -70,13 +70,13 @@ def refine(ids: list[int], c: int) -> dict:
     the (ID, order) pairs each frame promoted, and the final outcome."""
     pool = [Tag(id=i, state="selected") for i in ids]
     frames, promoted, ready = [], [], []
+    seeds = refine_seeds(c)
     while len(ready) < c:
         if len(frames) >= default_iteration_cap(c):
             raise ProtocolError(f"refinement did not converge for c={c}")
-        iteration = len(frames) + 1
         needed = c - len(ready)
         f = refine_frame_length(c, needed)
-        seed = refine_seed(c, iteration)
+        seed = next(seeds)
         slots = [hash_mod(t.id, seed, f) for t in pool]
         bits = build_frame(slots, needed, f)
         if sum(bits) == needed:

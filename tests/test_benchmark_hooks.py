@@ -1,11 +1,16 @@
 """The benchmark's tracer wraps package functions by name, and records a
 name it cannot find as absent instead of failing.  This guard fails fast
-when a package change would leave one of those names behind."""
+when a package change would leave one of those names behind, or would
+change how often the protocol stages whose results the hooks add up are
+called."""
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
+
+import numpy as np
 
 SPANS = Path(__file__).resolve().parent.parent / "benchmarks" / "spans.py"
 
@@ -44,3 +49,60 @@ def test_category_tags_ids_match_the_population_halves():
         ids = {t.id for t in category_tags(pop, spec.k)}
         assert ids == set(halves_to_ids(*pop.halves(spec.k)))
         assert len(ids) == spec.n
+
+
+def _record_rounds(monkeypatch):
+    """Replace protocol.optc1_round and optc2_round in every rfid_sampler
+    module that holds them, as the tracer does, and return the list their
+    calls are appended to as (name, args, kwargs)."""
+    from rfid_sampler import protocol
+
+    calls = []
+    for name in ("optc1_round", "optc2_round"):
+        orig = getattr(protocol, name)
+
+        def record(*args, _name=name, _orig=orig, **kwargs):
+            calls.append((_name, args, kwargs))
+            return _orig(*args, **kwargs)
+
+        for module in list(sys.modules.values()):
+            mname = getattr(module, "__name__", "")
+            if mname.split(".")[0] == "rfid_sampler" and getattr(module, name, None) is orig:
+                monkeypatch.setattr(module, name, record)
+    return calls
+
+
+# verify-rounds' airtime_ratio and the sim workloads' per-component bits are
+# summed from these calls: one coarse and one refinement round per category,
+# with c read as argument 1 of optc2_round.
+
+def test_optc2_round_takes_c_second():
+    from rfid_sampler.protocol import optc2_round
+
+    assert list(inspect.signature(optc2_round).parameters)[1] == "c"
+
+
+def test_sample_once_calls_each_stage_once(monkeypatch):
+    from rfid_sampler.verify import sample_once
+
+    calls = _record_rounds(monkeypatch)
+    rng = np.random.default_rng(8)
+    for n, c in [(2, 1), (60, 7), (400, 40)]:
+        calls.clear()
+        sample_once(n, c, rng)
+        assert [name for name, _, _ in calls] == ["optc1_round", "optc2_round"]
+        _, args, kwargs = calls[1]
+        assert _spans()._arg(args, kwargs, 1, "c") == c
+
+
+def test_run_optc_calls_each_stage_once_per_category(monkeypatch):
+    from rfid_sampler.population import generate_population
+    from rfid_sampler.protocol import run_optc
+
+    calls = _record_rounds(monkeypatch)
+    pop = generate_population([(30, 4), (1, 1), (200, 25)], rng_seed=5)
+    run_optc(pop, np.random.default_rng(2))
+    K = len(pop.categories)
+    assert [name for name, _, _ in calls] == ["optc1_round"] * K + ["optc2_round"] * K
+    arg = _spans()._arg
+    assert [arg(a, kw, 1, "c") for _, a, kw in calls[K:]] == [s.c for s in pop.categories]

@@ -1,4 +1,5 @@
 import math
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from rfid_sampler.population import halves_to_ids
 from rfid_sampler.protocol import (
     optc1_header_bits,
     refine_frame_length,
-    refine_seed,
+    refine_seeds,
     tag_apply_frame,
 )
 from rfid_sampler.verify import sample_once
@@ -58,6 +59,10 @@ class TestFrame:
     def test_rejects_out_of_range_slot(self):
         with pytest.raises(ValueError):
             build_frame([0, 3], needed=1, length=2)
+
+    def test_rejects_negative_slot(self):
+        with pytest.raises(ValueError):
+            build_frame([-1, 0], needed=1, length=2)
 
     def test_no_singletons(self):
         bits = build_frame([0, 0, 1, 1], needed=3, length=4)
@@ -177,7 +182,7 @@ class TestRefineStage:
     def test_frame_ends_at_last_needed_one(self):
         # c = 2: f = 2 + ceil(3*sqrt 2) = 7 slots; the first seed reads the
         # top 19 ID bits, so these tags land in slots 0, 2 and 5.
-        seed = refine_seed(2, 1)
+        seed = next(refine_seeds(2))
         shift = 96 - (seed.start + seed.length - 1)
         ids = [(v << shift) | 1 for v in (7 * 11, 7 * 5 + 2, 7 * 3 + 5)]
         out = optc2_round(_halves(ids), 2)
@@ -188,7 +193,7 @@ class TestRefineStage:
 
     def test_seed_schedule(self):
         for c in (1, 10, 50, 1000):
-            seeds = [refine_seed(c, i) for i in range(1, 200)]
+            seeds = list(islice(refine_seeds(c), 199))
             assert len({s.length for s in seeds}) == 1
             assert all(a.start != b.start for a, b in zip(seeds, seeds[1:]))
         assert refine_frame_length(50, 7) == 7 + 22
