@@ -239,19 +239,14 @@ def write_results(rows: list[ResultRow], out_path: str):
     """The rows as CSV at `out_path`, mirrored with aggregates as JSON at
     `out_path` + ".json"."""
     rows = sorted(rows, key=lambda r: (r.scenario, r.protocol, r.trial))
+    records = [r.as_record() for r in rows]
     with open(out_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row.as_record())
+        writer.writerows(records)
+    mirror = {"rows": records, "aggregates": aggregate(rows)}
     with open(out_path + ".json", "w") as fh:
-        json.dump(
-            {"rows": [r.as_record() for r in rows], "aggregates": aggregate(rows)},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+        fh.write(json.dumps(mirror, indent=2, sort_keys=True) + "\n")
 
 
 def run_scenarios(config_path: str, out_path: str, seed_override: int | None = None) -> list[ResultRow]:

@@ -9,15 +9,12 @@ select between c and c + 6*sqrt(c) tags; such seeds are called suitable.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .population import ID_BITS, _HALF_BITS
-
-# First bit of the last 16-bit block, which real EPCs are known to keep
-# uniformly random.
-_COTS_FIRST_BIT = 81
 
 
 @dataclass(frozen=True)
@@ -93,12 +90,12 @@ def suitable_from_count(count: int, c: int) -> bool:
     return c <= count <= suitable_upper(c)
 
 
-def window_starts(length: int) -> list[int]:
-    """Start positions the Select-command search tries: those inside the
-    last 16-bit block first, then every other start, so a search that runs
-    dry inside the block widens to the whole ID."""
-    full = list(range(1, ID_BITS - length + 2))
-    return full[_COTS_FIRST_BIT - 1:] + full[: _COTS_FIRST_BIT - 1]
+def seed_windows(length: int, rng: np.random.Generator) -> Iterator[SeedSpec]:
+    """Every L-bit window once, in uniformly random order: draw i of
+    rng.permutation(97 - L) is the window starting at bit i + 1.  Each seed
+    is built only when the search reaches it."""
+    for idx in rng.permutation(ID_BITS - length + 1).tolist():
+        yield SeedSpec(start=idx + 1, length=length)
 
 
 def find_suitable_seed(
@@ -119,8 +116,7 @@ def find_suitable_seed(
     # hashes are integers, so h <= c + 3*sqrt(c) iff h <= its floor
     thr = np.uint64(math.floor(selection_threshold(c)))
 
-    for tests, idx in enumerate(rng.permutation(ID_BITS - L + 1).tolist(), start=1):
-        seed = SeedSpec(start=idx + 1, length=L)
+    for tests, seed in enumerate(seed_windows(L, rng), start=1):
         vals = substring_values(hi, lo, seed) % np.uint64(n)
         count = int(np.count_nonzero(vals <= thr))
         if suitable_from_count(count, c):

@@ -166,8 +166,8 @@ def optc2_round(
     sides, so only frame bits and the final stop bit are broadcast, and no
     randomness is drawn.  The input arrays are not modified."""
     hi, lo = pool
-    if len(hi) < c:
-        raise ValueError(f"selected set of {len(hi)} cannot yield c={c}")
+    if not 1 <= c <= len(hi):
+        raise ValueError(f"need 1 <= c <= l, got c={c}, l={len(hi)} selected")
     cap = iteration_cap if iteration_cap is not None else default_iteration_cap(c)
 
     extra = refine_frame_length(c, 0)  # f - r, fixed for the round

@@ -12,7 +12,6 @@ starts is recorded per stage (`ImplRoundResult.coarse_seed`,
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,12 +19,12 @@ import numpy as np
 from .errors import ProtocolError
 from .hashing import (
     SeedSpec,
+    seed_windows,
     selection_threshold,
     substring_values,
     suitable_from_count,
-    window_starts,
 )
-from .population import Population, halves_to_ids
+from .population import ID_BITS, Population, halves_to_ids
 
 # Target(3) + Action(3) + MemBank(2) + Pointer(16) + Length(8): every
 # field except the mask, charged at full width whatever its value
@@ -48,28 +47,30 @@ class SelectCommand:
         return SELECT_FIXED_BITS + self.length
 
 
-def selgen_filters(tau: int, width: int) -> list[str]:
-    """Prefix filters over {0,1,*} jointly matching the values 0..tau.
+def _masks(tau: int, width: int) -> list[str]:
+    """The filters' masks, i.e. each filter without its trailing stars.
 
-    Scans tau's bits from the most significant end: every 1-bit at
-    position i yields the filter "prefix 0 ***" covering all values that
-    first fall below tau there; a closing filter covering tau itself is
-    emitted when the remaining low bits are all ones (or are exhausted).
+    Scans tau's bits from the most significant end: every 1-bit yields the
+    mask "prefix 0", covering all values that first fall below tau there.
+    The closing mask covers tau itself; it ends above tau's trailing ones
+    (or at the MSB when tau is all ones), where the remaining bits cover
+    every completion.
     """
     if width < 1:
         raise ValueError(f"width must be >= 1, got {width}")
     if not 0 <= tau < (1 << width):
         raise ValueError(f"tau={tau} does not fit in {width} bits")
     bits = format(tau, f"0{width}b")
-    filters = []
-    for pos, b in enumerate(bits):  # pos 0 is the MSB, i = width - pos
-        i = width - pos
-        if b == "1":
-            filters.append(bits[:pos] + "0" + "*" * (i - 1))
-        if i == 1 or all(x == "1" for x in bits[pos + 1:]):
-            filters.append(bits[: pos + 1] + "*" * (i - 1))
-            break
-    return filters
+    # (~tau & (tau + 1)).bit_length() is one more than tau's trailing ones
+    close = width - min((~tau & (tau + 1)).bit_length(), width)
+    masks = [bits[:pos] + "0" for pos in range(close + 1) if bits[pos] == "1"]
+    masks.append(bits[: close + 1])
+    return masks
+
+
+def selgen_filters(tau: int, width: int) -> list[str]:
+    """Prefix filters over {0,1,*} jointly matching the values 0..tau."""
+    return [m.ljust(width, "*") for m in _masks(tau, width)]
 
 
 def command_count(tau: int, width: int) -> int:
@@ -81,15 +82,12 @@ def command_count(tau: int, width: int) -> int:
     """
     if tau == (1 << width) - 1:
         return 2
-    t = 0
-    while (tau >> t) & 1:
-        t += 1
-    return bin(tau >> (t + 1)).count("1") + 1
+    return (tau >> (~tau & (tau + 1)).bit_length()).bit_count() + 1
 
 
 def selgen_commands(tau: int, width: int) -> list[SelectCommand]:
     """Select commands for the filters; stars become a shorter compare length."""
-    return [SelectCommand(mask=filt.rstrip("*")) for filt in selgen_filters(tau, width)]
+    return [SelectCommand(mask=m) for m in _masks(tau, width)]
 
 
 def commands_bit_cost(cmds: list[SelectCommand]) -> int:
@@ -103,14 +101,19 @@ def best_threshold(sorted_values: list[int], c: int, width: int) -> int:
     needing the fewest Select commands (ties: smallest tau).  Only lo and,
     for each j, the smallest tau >= lo ending in j ones can win: any other
     tau costs more than the one whose j indexes (from 0) the highest bit
-    where tau and lo differ.  These candidates ascend with j.
+    where tau and lo differ.  These candidates ascend with j, so the scan
+    stops at the first one past hi.
     """
     lo = sorted_values[c - 1]
     hi = sorted_values[c] - 1 if c < len(sorted_values) else (1 << width) - 1
     best, best_cost = lo, command_count(lo, width)
-    for tau in (((lo + (1 << j)) >> j << j) - 1 for j in range(1, width + 1)):
-        if tau <= hi and command_count(tau, width) < best_cost:
-            best, best_cost = tau, command_count(tau, width)
+    for j in range(1, width + 1):
+        tau = ((lo >> j) + 1 << j) - 1
+        if tau > hi:
+            break
+        cost = command_count(tau, width)
+        if cost < best_cost:
+            best, best_cost = tau, cost
     return best
 
 
@@ -144,11 +147,14 @@ def scaled_coarse_threshold(n: int, c: int, width: int) -> int:
     return min(tau, (1 << width) - 1)
 
 
-def _draw_windows(length: int, rng: np.random.Generator) -> Iterator[SeedSpec]:
-    """The search's seeds in random order, each built when the search reaches it."""
-    starts = window_starts(length)
-    for i in rng.permutation(len(starts)):
-        yield SeedSpec(start=starts[i], length=length)
+def _relabel(seed: SeedSpec) -> SeedSpec:
+    """Draw i of `seed_windows` under the label optc-impl has always used.
+
+    Relabelling a uniform draw keeps it uniform; this one only keeps the
+    optc-impl transcripts of earlier versions byte-identical."""
+    m = ID_BITS - seed.length + 1
+    # start 1 + (i + 80) mod m when m > 80, else 1 + i
+    return SeedSpec(1 + (seed.start + 79) % m, seed.length) if m > 80 else seed
 
 
 def run_impl_category(
@@ -174,50 +180,49 @@ def run_impl_category(
     # stage one: coarse selection by threshold on an L1-bit raw hash
     L1 = max(1, math.ceil(math.log2(n)))
     tau1 = scaled_coarse_threshold(n, c, L1)
+    below = np.uint64(tau1)
     coarse_seed = None
-    coarse_vals = None
     redraws1 = 0
-    for seed in _draw_windows(L1, rng):
-        vals = substring_values(hi, lo, seed).astype(np.int64)
-        count = int((vals <= tau1).sum())
+    for seed in seed_windows(L1, rng):
+        seed = _relabel(seed)
+        mask = substring_values(hi, lo, seed) <= below
         redraws1 += 1
-        if suitable_from_count(count, c):
-            coarse_seed, coarse_vals = seed, vals
+        if suitable_from_count(int(np.count_nonzero(mask)), c):
+            coarse_seed = seed
             break
     if coarse_seed is None:
         raise ProtocolError(f"no coarse hash window suits n={n}, c={c}")
-    sel_idx = np.flatnonzero(coarse_vals <= tau1)
     cmds = selgen_commands(tau1, L1)
 
     # stage two: exact selection among the l survivors
-    l = len(sel_idx)
+    s_hi, s_lo = hi[mask], lo[mask]
+    l = len(s_hi)
     L2 = max(1, math.ceil(math.log2(l * l))) if l > 1 else 1
-    s_hi, s_lo = hi[sel_idx], lo[sel_idx]
     refine_seed = None
-    refine_vals = None
     redraws2 = 0
-    for seed in _draw_windows(L2, rng):
-        vals = substring_values(s_hi, s_lo, seed).astype(np.int64)
+    for seed in seed_windows(L2, rng):
+        seed = _relabel(seed)
+        vals = substring_values(s_hi, s_lo, seed)
         redraws2 += 1
-        order = np.sort(vals)
-        distinct = len(set(order[:c].tolist())) == c
-        separated = c == l or order[c - 1] < order[c]
-        if distinct and separated:
-            refine_seed, refine_vals = seed, vals
+        # one stable sort: its first c rows are the picked tags in hash
+        # order, and the c + 1 smallest values decide the draw
+        rank = vals.argsort(kind="stable")
+        head = vals[rank[: c + 1]].tolist()
+        if len(set(head[:c])) == c and (c == l or head[c - 1] < head[c]):
+            refine_seed = seed
             break
     if refine_seed is None:
         raise ProtocolError(f"no refine hash window separates c={c} of l={l} tags")
 
-    tau2 = best_threshold(np.sort(refine_vals).tolist(), c, L2)
+    tau2 = best_threshold(head, c, L2)
+    if not (head[c - 1] <= tau2 and (c == l or head[c] > tau2)):
+        raise ProtocolError(f"threshold {tau2} does not pick exactly c={c} of l={l} tags")
     cmds += selgen_commands(tau2, L2)
 
-    picked = np.flatnonzero(refine_vals <= tau2)
-    if len(picked) != c:
-        raise ProtocolError(f"threshold {tau2} picked {len(picked)} tags, want {c}")
     # reporting orders follow the refine hash rank; the hashes are distinct
-    picked = picked[np.argsort(refine_vals[picked])]
+    picked = rank[:c]
     ids = halves_to_ids(s_hi[picked], s_lo[picked])
-    ready = [(tid, rank) for rank, tid in enumerate(ids, start=1)]
+    ready = [(tid, r) for r, tid in enumerate(ids, start=1)]
 
     return ImplRoundResult(
         k=k,

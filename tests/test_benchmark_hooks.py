@@ -51,15 +51,14 @@ def test_category_tags_ids_match_the_population_halves():
         assert len(ids) == spec.n
 
 
-def _record_rounds(monkeypatch):
-    """Replace protocol.optc1_round and optc2_round in every rfid_sampler
-    module that holds them, as the tracer does, and return the list their
-    calls are appended to as (name, args, kwargs)."""
-    from rfid_sampler import protocol
-
+def _record(monkeypatch, module_name, names):
+    """Replace the named functions of rfid_sampler.<module_name> in every
+    rfid_sampler module that holds them, as the tracer does, and return the
+    list their calls are appended to as (name, args, kwargs)."""
+    source = importlib.import_module(f"rfid_sampler.{module_name}")
     calls = []
-    for name in ("optc1_round", "optc2_round"):
-        orig = getattr(protocol, name)
+    for name in names:
+        orig = getattr(source, name)
 
         def record(*args, _name=name, _orig=orig, **kwargs):
             calls.append((_name, args, kwargs))
@@ -85,7 +84,7 @@ def test_optc2_round_takes_c_second():
 def test_sample_once_calls_each_stage_once(monkeypatch):
     from rfid_sampler.verify import sample_once
 
-    calls = _record_rounds(monkeypatch)
+    calls = _record(monkeypatch, "protocol", ("optc1_round", "optc2_round"))
     rng = np.random.default_rng(8)
     for n, c in [(2, 1), (60, 7), (400, 40)]:
         calls.clear()
@@ -99,10 +98,55 @@ def test_run_optc_calls_each_stage_once_per_category(monkeypatch):
     from rfid_sampler.population import generate_population
     from rfid_sampler.protocol import run_optc
 
-    calls = _record_rounds(monkeypatch)
+    calls = _record(monkeypatch, "protocol", ("optc1_round", "optc2_round"))
     pop = generate_population([(30, 4), (1, 1), (200, 25)], rng_seed=5)
     run_optc(pop, np.random.default_rng(2))
     K = len(pop.categories)
     assert [name for name, _, _ in calls] == ["optc1_round"] * K + ["optc2_round"] * K
     arg = _spans()._arg
     assert [arg(a, kw, 1, "c") for _, a, kw in calls[K:]] == [s.c for s in pop.categories]
+
+
+# The sim workloads' selgen.* keys: the tracer counts one run_impl_category
+# call per category and reads its result's commands, coarse_redraws and
+# refine_redraws; it times best_threshold and selgen_commands inside it.
+
+def test_run_optc_impl_calls_run_impl_category_once_per_category(monkeypatch):
+    from rfid_sampler.population import generate_population
+    from rfid_sampler.selgen import run_optc_impl
+
+    calls = _record(monkeypatch, "selgen", ("run_impl_category",))
+    pop = generate_population([(20, 5), (1, 1), (60, 9)], rng_seed=5)
+    results = run_optc_impl(pop, np.random.default_rng(2))
+    assert [name for name, _, _ in calls] == ["run_impl_category"] * len(pop.categories)
+    assert len(results) == len(pop.categories)
+
+
+def test_run_impl_category_calls_each_timed_step(monkeypatch):
+    from rfid_sampler.population import generate_population
+    from rfid_sampler.selgen import run_impl_category
+
+    calls = _record(monkeypatch, "selgen", ("best_threshold", "selgen_commands"))
+    pop = generate_population([(1, 1), (20, 5), (200, 25)], rng_seed=3)
+    rng = np.random.default_rng(4)
+    for spec in pop.categories:
+        calls.clear()
+        run_impl_category(*pop.halves(spec.k), spec.c, rng)
+        assert sorted(name for name, _, _ in calls) == [
+            "best_threshold", "selgen_commands", "selgen_commands"
+        ]
+
+
+def test_run_impl_category_result_feeds_the_selgen_hook():
+    from rfid_sampler.population import generate_population
+    from rfid_sampler.selgen import run_impl_category
+
+    spans = _spans()
+    tracer = spans.Tracer()
+    pop = generate_population([(30, 6)], rng_seed=8)
+    result = run_impl_category(*pop.halves(1), 6, np.random.default_rng(1))
+    spans._on_run_impl_category(tracer, (), {}, result)
+    assert tracer.count["selgen.categories"] == 1
+    assert tracer.count["selgen.commands"] == len(result.commands) >= 2
+    draws = result.coarse_redraws + result.refine_redraws
+    assert tracer.count["selgen.window_draws"] == draws >= 2

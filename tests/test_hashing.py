@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 
 from rfid_sampler import SeedSpec, find_suitable_seed
 from rfid_sampler.hashing import (
-    _COTS_FIRST_BIT,
     mod_hash_width,
     seed_trial_statistics,
+    seed_windows,
     selection_threshold,
     substring_values,
     suitable_from_count,
     suitable_upper,
-    window_starts,
 )
+from rfid_sampler.selgen import _relabel
 from tag_oracle import hash_mod, substring_hash
 
 
@@ -106,20 +106,32 @@ def test_threshold_values():
     assert math.isclose(selection_threshold(2), 2 + 3 * math.sqrt(2))
 
 
-def test_seed_pool_windows():
-    # every valid start once: the starts inside the last 16-bit block
-    # first, then the rest
-    assert sorted(window_starts(4)) == list(range(1, 94))
-    assert window_starts(96) == [1]
-    for L in (4, 10, 16, 17, 26):
-        full = list(range(1, 96 - L + 2))
-        cots = [s for s in full if s >= _COTS_FIRST_BIT]
-        starts = window_starts(L)
-        assert starts[:len(cots)] == cots
-        assert sorted(starts) == full and len(set(starts)) == len(starts)
-    assert window_starts(10)[:7] == list(range(81, 88))
-    assert window_starts(16) == [81] + list(range(1, 81))
-    assert window_starts(17) == list(range(1, 81))  # no start inside the block
+def test_seed_windows_follow_the_permutation():
+    # draw i of rng.permutation(97 - L) is the window starting at i + 1,
+    # and every window comes up exactly once
+    for L in (1, 4, 16, 17, 48, 96):
+        m = 97 - L
+        draws = list(seed_windows(L, np.random.default_rng(L)))
+        perm = np.random.default_rng(L).permutation(m).tolist()
+        assert [s.start for s in draws] == [i + 1 for i in perm]
+        assert {s.length for s in draws} == {L}
+
+
+def test_selgen_relabel_keeps_the_cots_first_order():
+    # optc-impl once drew i from rng.permutation(m) and used start
+    # starts[i], with starts listing 81..m first and then 1..80; the
+    # relabelling of seed_windows' draw i must give that same start
+    def cots_first_starts(L):
+        full = list(range(1, 97 - L + 1))
+        return full[80:] + full[:80]
+
+    assert cots_first_starts(10)[:7] == list(range(81, 88))
+    assert cots_first_starts(16) == [81] + list(range(1, 81))
+    assert cots_first_starts(17) == list(range(1, 81))
+    for L in range(1, 97):
+        relabelled = [_relabel(SeedSpec(i + 1, L)) for i in range(97 - L)]
+        assert [s.start for s in relabelled] == cots_first_starts(L)
+        assert {s.length for s in relabelled} == {L}
 
 
 def test_mod_hash_width_padding():

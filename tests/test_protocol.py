@@ -202,6 +202,12 @@ class TestRefineStage:
         with pytest.raises(ValueError):
             optc2_round(_halves(_ids(3)), 4)
 
+    @pytest.mark.parametrize("c", [0, -1])
+    def test_rejects_non_positive_c(self, c):
+        # the same check as the undersized pool, not a failure further in
+        with pytest.raises(ValueError, match=r"need 1 <= c <= l"):
+            optc2_round(_halves(_ids(5)), c)
+
     def test_counter_mismatch_raises(self, monkeypatch):
         def off_by_one(cnt, bits, slots):
             ready, cnt = tag_apply_frame(cnt, bits, slots)

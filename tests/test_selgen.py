@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+import selgen_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rfid_sampler import selgen
+from rfid_sampler.errors import ProtocolError
 from rfid_sampler import (
     SelectCommand,
     best_threshold,
@@ -66,6 +69,17 @@ class TestFilterGeneration:
         assert len(filters) <= bin(tau).count("1") + 1
         if tau >= 2:
             assert len(filters) <= math.ceil(math.log2(tau)) + 1
+
+    def test_matches_position_scan_oracle(self):
+        # optc-impl's bits depend on each mask's length, so the strings
+        # themselves must match, not only what they cover
+        for width in range(1, 13):
+            for tau in range(1 << width):
+                expected = selgen_oracle.selgen_filters(tau, width)
+                assert selgen_filters(tau, width) == expected
+                masks = [cmd.mask for cmd in selgen_commands(tau, width)]
+                assert masks == [f.rstrip("*") for f in expected]
+                assert command_count(tau, width) == len(expected)
 
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
@@ -165,3 +179,24 @@ class TestImplementation:
         r2 = run_optc_impl(pop2, np.random.default_rng(5))
         assert [r.ready for r in r1] == [r.ready for r in r2]
         assert [r.bits for r in r1] == [r.bits for r in r2]
+
+    def test_coarse_exhaustion_raises(self):
+        # every window of all-zero IDs selects all 100 tags, more than
+        # c + 6*sqrt(c) = 7
+        zeros = np.zeros(100, dtype=np.uint64)
+        with pytest.raises(ProtocolError, match="no coarse hash window suits n=100, c=1"):
+            run_impl_category(zeros, zeros.copy(), 1, np.random.default_rng(0))
+
+    def test_refine_exhaustion_raises(self):
+        # two equal IDs pass the coarse stage together and tie in every window
+        hi = np.array([5, 5], dtype=np.uint64)
+        lo = np.array([9, 9], dtype=np.uint64)
+        with pytest.raises(ProtocolError, match="no refine hash window separates c=1 of l=2"):
+            run_impl_category(hi, lo, 1, np.random.default_rng(0))
+
+    def test_threshold_picking_other_than_c_raises(self, monkeypatch):
+        # a threshold just under the c-th smallest value picks c - 1 tags
+        monkeypatch.setattr(selgen, "best_threshold", lambda vals, c, width: vals[c - 1] - 1)
+        pop = generate_population([(25, 6)], rng_seed=17)
+        with pytest.raises(ProtocolError, match="does not pick exactly c=6"):
+            run_impl_category(*pop.halves(1), 6, np.random.default_rng(4))
