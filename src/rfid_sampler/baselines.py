@@ -2,22 +2,23 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .population import Population, halves_to_ids
+from .population import Population, ReadyTags
 from .selgen import SELECT_FIXED_BITS
 
 ID_MASK_BITS = 96
 
 
 @dataclass
-class BaselineReport:
+class BaselineReport(ReadyTags):
     name: str
     commands: int
     bits: int
-    ready: list[tuple[int, int]]
+    pool: tuple[np.ndarray, np.ndarray] = field(repr=False)  # category ID halves
+    positions: np.ndarray  # the picked tags' rows, in reporting order
 
 
 def run_random_select(
@@ -27,14 +28,12 @@ def run_random_select(
     ID: c_k commands of 96-bit masks per category, no hashing involved."""
     reports = []
     for spec in population.categories:
-        hi, lo = population.halves(spec.k)
         picks = rng.choice(spec.n, size=spec.c, replace=False)
-        ids = halves_to_ids(hi[picks], lo[picks])
-        ready = [(tid, order) for order, tid in enumerate(ids, start=1)]
         bits = spec.c * (SELECT_FIXED_BITS + ID_MASK_BITS)
         reports.append(
             BaselineReport(
-                name="random-select", commands=spec.c, bits=bits, ready=ready
+                name="random-select", commands=spec.c, bits=bits,
+                pool=population.halves(spec.k), positions=picks,
             )
         )
     return reports

@@ -4,17 +4,20 @@ A "seed" is the starting position of an L-bit substring of the 96-bit ID;
 the decimal value of the substring is the raw hash, reduced mod n when a
 bounded range is needed.  The coarse sampling stage only accepts seeds that
 select between c and c + 6*sqrt(c) tags; such seeds are called suitable.
+Each window is built once, on first use: `seed_spec` returns its one
+validated `SeedSpec`, and `substring_values` its cached shifts and mask.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .population import ID_BITS, _HALF_BITS
+from .population import ID_BITS, _HALF_BITS, random_ids
 
 
 @dataclass(frozen=True)
@@ -31,6 +34,9 @@ class SeedSpec:
             raise ValueError(
                 f"start {self.start} out of range for length {self.length}"
             )
+
+
+seed_spec = functools.cache(SeedSpec)  # seed_spec(start, length): one shared SeedSpec
 
 
 @dataclass
@@ -63,27 +69,32 @@ def ids_to_halves(ids) -> tuple[np.ndarray, np.ndarray]:
 
     No package code calls it; `benchmarks/spans.py` still wraps this name."""
     hi = np.fromiter((i >> _HALF_BITS for i in ids), dtype=np.uint64, count=len(ids))
-    lo = np.fromiter(
-        (i & ((1 << _HALF_BITS) - 1) for i in ids), dtype=np.uint64, count=len(ids)
-    )
+    lo = np.fromiter((i & ((1 << _HALF_BITS) - 1) for i in ids), np.uint64, len(ids))
     return hi, lo
+
+
+@functools.cache
+def _window_reader(start: int, length: int):
+    """(hi, lo) -> the window's value, with 0-d uint64 constants (faster than scalars)."""
+    if length > _HALF_BITS:
+        raise ValueError(f"vectorized path supports length <= {_HALF_BITS}")
+    end = start + length - 1
+    mask = np.array((1 << length) - 1, dtype=np.uint64)
+    # the window's last bit lies (96 - end) mod 48 bits above its half's bottom
+    down = np.array((ID_BITS - end) % _HALF_BITS, dtype=np.uint64)
+    if end <= _HALF_BITS:
+        return lambda hi, lo: (hi >> down) & mask
+    if start > _HALF_BITS:
+        return lambda hi, lo: (lo >> down) & mask
+    # crossing bit 48: hi's bits above the window land past the mask, which drops them
+    up = np.array(end - _HALF_BITS, dtype=np.uint64)
+    return lambda hi, lo: ((hi << up) | (lo >> down)) & mask
 
 
 def substring_values(hi: np.ndarray, lo: np.ndarray, seed: SeedSpec) -> np.ndarray:
     """Unsigned value of ID bits [start, start+L-1], MSB first, of every ID
     given as (hi, lo) halves."""
-    s, L = seed.start, seed.length
-    if L > _HALF_BITS:
-        raise ValueError(f"vectorized path supports length <= {_HALF_BITS}")
-    end = s + L - 1
-    mask = np.uint64((1 << L) - 1)
-    if end <= _HALF_BITS:
-        return (hi >> np.uint64(_HALF_BITS - end)) & mask
-    if s > _HALF_BITS:
-        return (lo >> np.uint64(ID_BITS - end)) & mask
-    lo_bits = end - _HALF_BITS
-    hi_part = hi & np.uint64((1 << (_HALF_BITS - s + 1)) - 1)
-    return ((hi_part << np.uint64(lo_bits)) | (lo >> np.uint64(_HALF_BITS - lo_bits))) & mask
+    return _window_reader(seed.start, seed.length)(hi, lo)
 
 
 def suitable_from_count(count: int, c: int) -> bool:
@@ -92,10 +103,9 @@ def suitable_from_count(count: int, c: int) -> bool:
 
 def seed_windows(length: int, rng: np.random.Generator) -> Iterator[SeedSpec]:
     """Every L-bit window once, in uniformly random order: draw i of
-    rng.permutation(97 - L) is the window starting at bit i + 1.  Each seed
-    is built only when the search reaches it."""
+    rng.permutation(97 - L) is the (shared) window starting at bit i + 1."""
     for idx in rng.permutation(ID_BITS - length + 1).tolist():
-        yield SeedSpec(start=idx + 1, length=length)
+        yield seed_spec(idx + 1, length)
 
 
 def find_suitable_seed(
@@ -114,10 +124,10 @@ def find_suitable_seed(
     n = len(hi)
     L = mod_hash_width(n)
     # hashes are integers, so h <= c + 3*sqrt(c) iff h <= its floor
-    thr = np.uint64(math.floor(selection_threshold(c)))
+    thr = np.array(math.floor(selection_threshold(c)), dtype=np.uint64)
 
     for tests, seed in enumerate(seed_windows(L, rng), start=1):
-        vals = substring_values(hi, lo, seed) % np.uint64(n)
+        vals = substring_values(hi, lo, seed) % n
         count = int(np.count_nonzero(vals <= thr))
         if suitable_from_count(count, c):
             return vals, SeedSearchStats(tests=tests, seed=seed)
@@ -140,10 +150,8 @@ def seed_trial_statistics(n: int, c: int, trials: int, rng_seed: int) -> dict:
     first_ok = 0
     for ss in streams:
         rng = np.random.default_rng(ss)
-        # duplicate IDs are vanishingly unlikely at 96 bits, so the array
-        # path skips the dedup pass that generate_population performs
-        halves = rng.integers(0, 1 << _HALF_BITS, size=(n, 2), dtype=np.uint64)
-        _, stats = find_suitable_seed(halves[:, 0], halves[:, 1], c, rng=rng)
+        hi, lo = random_ids(n, rng)
+        _, stats = find_suitable_seed(hi, lo, c, rng=rng)
         if stats.seed is None:
             raise RuntimeError(f"seed pool exhausted for n={n}, c={c}")
         tests_seen.append(stats.tests)

@@ -14,6 +14,7 @@ arrays and keep no per-tag state, so every run starts from reset;
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -132,6 +133,19 @@ def _category_order(hi: np.ndarray, lo: np.ndarray, sizes: np.ndarray) -> np.nda
 def halves_to_ids(hi: np.ndarray, lo: np.ndarray) -> list[int]:
     """Python-int IDs from their (hi, lo) halves, in the given order."""
     return [(h << _HALF_BITS) | l for h, l in zip(hi.tolist(), lo.tolist())]
+
+
+class ReadyTags:
+    """Base of a result holding `pool`, ID halves (hi, lo) or None, and
+    `positions`, the rows of its Ready tags in reporting order."""
+
+    @cached_property
+    def ready(self) -> list[tuple[int, int]]:
+        """(ID, reporting order) of the Ready tags, by order; built on first read."""
+        if self.pool is None:
+            return []
+        ids = halves_to_ids(self.pool[0][self.positions], self.pool[1][self.positions])
+        return list(zip(ids, range(1, len(ids) + 1)))
 
 
 def generate_population(

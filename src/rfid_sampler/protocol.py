@@ -6,6 +6,8 @@ Both stages run on arrays.  The coarse stage reports the positions of the
 tags it selects; the refinement stage keeps one counter per row of their ID
 halves, and each frame (`build_frame`, reader side; `tag_apply_frame`, tag
 side) moves the rows in marked singleton slots out of the pool as Ready.
+A round's outcome keeps the pool and the Ready rows by order; the Ready
+tags' Python-int IDs are built only if `RoundOutcome.ready` is read.
 
 Cost accounting keeps two views per round:
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import count
 
 import numpy as np
@@ -38,16 +40,16 @@ from .hashing import (
     SeedSpec,
     find_suitable_seed,
     mod_hash_width,
+    seed_spec,
     selection_threshold,
     substring_values,
     suitable_from_count,
 )
-from .population import ID_BITS, Population, halves_to_ids
+from .population import ID_BITS, Population, ReadyTags
 
 
 @dataclass
-class RoundOutcome:
-    ready: list[tuple[int, int]]        # (ID, reporting order), by order
+class RoundOutcome(ReadyTags):
     iterations: int = 0
     bits_sent: int = 0
     payload_bits: int = 0
@@ -55,6 +57,8 @@ class RoundOutcome:
     # Coarse stage: positions of the Selected tags in the category's ID
     # arrays.  Refinement stage: pool rows of the Ready tags, by order.
     positions: np.ndarray | None = None
+    # Refinement stage: the pool's ID halves, which `ready` reads (coarse stage: None).
+    pool: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -86,12 +90,11 @@ def optc1_round(
     if hashes is None:
         raise ProtocolError(f"no suitable seed for n={n}, c={c} after {stats.tests} tests")
 
-    positions = np.flatnonzero(hashes <= math.floor(selection_threshold(c)))
+    positions = (hashes <= math.floor(selection_threshold(c))).nonzero()[0]
     if not suitable_from_count(len(positions), c):
         raise ProtocolError(f"seed selected {len(positions)} tags, outside bounds")
 
     return RoundOutcome(
-        ready=[],
         iterations=1,
         bits_sent=optc1_header_bits(n, c),
         seed_tests=stats.tests,
@@ -123,10 +126,11 @@ def tag_apply_frame(
     `slots`: a tag whose slot holds a one becomes Ready, its counter raised
     by the ones up to and including its slot; every other tag adds the
     frame's ones and stays Selected.  A slot past the end of a truncated
-    frame reads as 0 (the read clips, then is masked off).  Returns (ready
+    frame reads as 0 (the read clips, then is masked off).  `bits` is a
+    uint8 frame of zeros and ones, as `build_frame` returns.  Returns (ready
     mask, new counters)."""
     ones_through = bits.astype(np.int64).cumsum()
-    ready = (bits.take(slots, mode="clip") == 1) & (slots < len(bits))
+    ready = bits.view(bool).take(slots, mode="clip") & (slots < len(bits))
     heard = ones_through.take(slots, mode="clip")
     heard[~ready] = ones_through[-1]
     return ready, cnt + heard
@@ -147,7 +151,7 @@ def refine_seeds(c: int) -> Iterator[SeedSpec]:
     overlapping substrings and, as a width of at most 48 bits leaves more
     starts than that, never share one."""
     L = mod_hash_width(refine_frame_length(c, c))
-    return (SeedSpec(start=1 + t * L % (ID_BITS - L + 1), length=L) for t in count())
+    return (seed_spec(1 + t * L % (ID_BITS - L + 1), L) for t in count())
 
 
 def default_iteration_cap(c: int) -> int:
@@ -174,13 +178,13 @@ def optc2_round(
     rows = np.arange(len(hi))  # pool indices of the tags still Selected
     cnt = np.zeros(len(hi), dtype=np.int64)
     promoted: list[np.ndarray] = []  # each iteration's Ready rows, by order
-    orders: list[np.ndarray] = []
+    orders: list[int] = []  # the Ready tags' counters, by order
     done = payload = 0
     for iterations, seed in zip(range(1, cap + 1), refine_seeds(c)):
         needed = c - done
         f = needed + extra
         # hashes are below 2^48, so their uint64 bits read as the same int64
-        slots = (substring_values(hi, lo, seed) % np.uint64(f)).view(np.int64)
+        slots = (substring_values(hi, lo, seed) % f).view(np.int64)
         bits = build_frame(slots, needed=needed, length=f)
         ones = bits.nonzero()[0]
         if len(ones) == needed:
@@ -195,16 +199,15 @@ def optc2_round(
         hit = ready.nonzero()[0]
         heard = cnt[hit]
         predicted = ones.searchsorted(slots[hit]) + (done + 1)
-        bad = (heard != predicted).nonzero()[0]
-        if len(bad):
+        if (counters := heard.tolist()) != predicted.tolist():
+            bad = (heard != predicted).nonzero()[0][0]
             raise ProtocolError(
-                f"counter mismatch on pool row {rows[hit[bad[0]]]}: "
-                f"cnt={heard[bad[0]]}, reader predicts {predicted[bad[0]]}"
+                f"counter mismatch on pool row {rows[hit[bad]]}: "
+                f"cnt={heard[bad]}, reader predicts {predicted[bad]}"
             )
-        by_order = hit[heard.argsort()]
-        promoted.append(rows[by_order])
-        orders.append(cnt[by_order])
-        done += len(heard)
+        promoted.append(rows[hit[heard.argsort(kind="stable")]])
+        orders += sorted(counters)
+        done += len(counters)
         if done == c:
             break
         keep = ~ready
@@ -215,17 +218,14 @@ def optc2_round(
             f"(|ready|={done}, c={c})"
         )
 
-    order = np.concatenate(orders)
-    if not np.array_equal(order, np.arange(1, c + 1)):
+    if orders != list(range(1, c + 1)):
         raise ProtocolError(f"reporting orders are not a permutation of 1..{c}")
-    positions = np.concatenate(promoted)
-    ids = halves_to_ids(pool[0][positions], pool[1][positions])
     return RoundOutcome(
-        ready=list(zip(ids, order.tolist())),
         iterations=iterations,
         bits_sent=payload + 1,  # stop broadcast
         payload_bits=payload,
-        positions=positions,
+        positions=promoted[0] if iterations == 1 else np.concatenate(promoted),
+        pool=pool,
     )
 
 

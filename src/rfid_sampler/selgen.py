@@ -12,19 +12,20 @@ starts is recorded per stage (`ImplRoundResult.coarse_seed`,
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ProtocolError
 from .hashing import (
     SeedSpec,
+    seed_spec,
     seed_windows,
     selection_threshold,
     substring_values,
     suitable_from_count,
 )
-from .population import ID_BITS, Population, halves_to_ids
+from .population import ID_BITS, Population, ReadyTags
 
 # Target(3) + Action(3) + MemBank(2) + Pointer(16) + Length(8): every
 # field except the mask, charged at full width whatever its value
@@ -118,7 +119,7 @@ def best_threshold(sorted_values: list[int], c: int, width: int) -> int:
 
 
 @dataclass
-class ImplRoundResult:
+class ImplRoundResult(ReadyTags):
     """Per-category record of one full run on the Select-command realization."""
 
     k: int
@@ -130,7 +131,8 @@ class ImplRoundResult:
     tau_coarse: int
     tau_refine: int
     commands: list[SelectCommand]
-    ready: list[tuple[int, int]]  # (tag ID, reporting order)
+    pool: tuple[np.ndarray, np.ndarray] = field(repr=False)  # coarse survivors' halves
+    positions: np.ndarray  # the Ready tags' rows of the pool, in reporting order
 
     @property
     def command_count(self) -> int:
@@ -154,7 +156,7 @@ def _relabel(seed: SeedSpec) -> SeedSpec:
     optc-impl transcripts of earlier versions byte-identical."""
     m = ID_BITS - seed.length + 1
     # start 1 + (i + 80) mod m when m > 80, else 1 + i
-    return SeedSpec(1 + (seed.start + 79) % m, seed.length) if m > 80 else seed
+    return seed_spec(1 + (seed.start + 79) % m, seed.length) if m > 80 else seed
 
 
 def run_impl_category(
@@ -219,11 +221,6 @@ def run_impl_category(
         raise ProtocolError(f"threshold {tau2} does not pick exactly c={c} of l={l} tags")
     cmds += selgen_commands(tau2, L2)
 
-    # reporting orders follow the refine hash rank; the hashes are distinct
-    picked = rank[:c]
-    ids = halves_to_ids(s_hi[picked], s_lo[picked])
-    ready = [(tid, r) for r, tid in enumerate(ids, start=1)]
-
     return ImplRoundResult(
         k=k,
         coarse_seed=coarse_seed,
@@ -234,7 +231,9 @@ def run_impl_category(
         tau_coarse=tau1,
         tau_refine=tau2,
         commands=cmds,
-        ready=ready,
+        # reporting orders follow the refine hash rank; the hashes are distinct
+        pool=(s_hi, s_lo),
+        positions=rank[:c],
     )
 
 

@@ -30,13 +30,13 @@ class Check:
 
 
 def sample_once(n: int, c: int, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Run both stages on a fresh n-tag category; return (index, order) of
-    the sampled tags, indices by position in the generated list."""
+    """Run both stages on a fresh n-tag category; return (index, order) of the
+    sampled tags by order, indices by position in the generated list (optc2_round
+    checks that its Ready rows hold the orders 1..c in turn)."""
     hi, lo = random_ids(n, rng)
-    coarse = optc1_round(hi, lo, c, rng)
-    pos = coarse.positions
+    pos = optc1_round(hi, lo, c, rng).positions
     out = optc2_round((hi[pos], lo[pos]), c)
-    return list(zip(pos[out.positions].tolist(), (o for _, o in out.ready)))
+    return list(zip(pos[out.positions].tolist(), range(1, c + 1)))
 
 
 def suite_seeds(trials: int = 1000, rng_seed: int = 2024) -> list[Check]:

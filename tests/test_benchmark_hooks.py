@@ -150,3 +150,28 @@ def test_run_impl_category_result_feeds_the_selgen_hook():
     assert tracer.count["selgen.commands"] == len(result.commands) >= 2
     draws = result.coarse_redraws + result.refine_redraws
     assert tracer.count["selgen.window_draws"] == draws >= 2
+
+
+# The traced run checks every run_optc result against the population:
+# spans.check_optc_outcomes reads each outcome's Ready IDs, which are built
+# from its pool halves, and requires them to be the category's tags.
+
+def test_check_optc_outcomes_catches_ready_tags_of_another_category():
+    from rfid_sampler import protocol
+    from rfid_sampler.population import generate_population
+
+    spans = _spans()
+    pop = generate_population([(40, 6), (40, 6), (25, 3)], rng_seed=4)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        protocol.run_optc(pop, np.random.default_rng(9))
+        assert spans.check_optc_outcomes(tracer) == 0
+        outcomes, _ = protocol.run_optc(pop, np.random.default_rng(9))
+    finally:
+        tracer.unwrap_all()
+    # the first category's outcome now holds the second category's sample:
+    # six distinct tags with orders 1..6, but not tags of category 1
+    first, second = outcomes[0], outcomes[1]
+    first.pool, first.positions = second.pool, second.positions
+    assert spans.check_optc_outcomes(tracer) == 1

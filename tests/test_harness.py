@@ -1,8 +1,9 @@
 import os
 
+import numpy as np
 import pytest
 
-from rfid_sampler import ConfigurationError, cli, load_config
+from rfid_sampler import ConfigurationError, cli, load_config, population
 from rfid_sampler.cli import main
 from rfid_sampler.harness import (
     CSV_COLUMNS,
@@ -150,6 +151,17 @@ class TestCli:
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o.csv")]) == 2
+
+    def test_protocol_failure_exits_3(self, tmp_path, monkeypatch, capsys):
+        # all-zero IDs leave the coarse stage no suitable seed, so the
+        # protocol itself raises inside simulate
+        def zero_ids(n, rng):
+            return np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
+
+        monkeypatch.setattr(population, "random_ids", zero_ids)
+        config = _write(tmp_path, "[x]\nK = 1\nn = 100\nc = 1\nprotocols = optc\n")
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err.startswith("protocol failure: no suitable seed")
 
     def test_verify_fast_monotone(self, capsys):
         assert main(["verify", "monotone"]) == 0

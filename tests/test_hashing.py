@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rfid_sampler import SeedSpec, find_suitable_seed
 from rfid_sampler.hashing import (
     mod_hash_width,
+    seed_spec,
     seed_trial_statistics,
     seed_windows,
     selection_threshold,
@@ -33,6 +34,14 @@ def test_seed_spec_bounds():
         SeedSpec(start=0, length=4)
     with pytest.raises(ValueError):
         SeedSpec(start=94, length=4)
+
+
+def test_seed_spec_builds_each_window_once():
+    assert seed_spec(3, 5) is seed_spec(3, 5) == SeedSpec(3, 5)
+    # an invalid window is rejected on every request, not cached
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            seed_spec(94, 4)
 
 
 def test_substring_hash_msb_first():
@@ -67,6 +76,20 @@ def test_vectorized_substring_matches_scalar(ids, start, length):
     vec = substring_values(hi, lo, seed)
     for tag_id, v in zip(ids, vec.tolist()):
         assert substring_hash(tag_id, seed) == v
+
+
+def test_every_window_matches_the_scalar_hash():
+    # every window of width 1..48: inside the high half, inside the low
+    # half and across bit 48, on all-ones, alternating-bit and random IDs
+    rng = np.random.default_rng(12)
+    ids = [(1 << 96) - 1, int("10" * 48, 2), int("01" * 48, 2)]
+    ids += [int(h) << 48 | int(l) for h, l in rng.integers(0, 1 << 48, size=(5, 2))]
+    hi, lo = _halves(ids)
+    for L in range(1, 49):
+        for start in range(1, 98 - L):
+            seed = SeedSpec(start, L)
+            expected = [substring_hash(i, seed) for i in ids]
+            assert substring_values(hi, lo, seed).tolist() == expected, seed
 
 
 # Worked suitability example: 12 tags, c = 2, threshold 2 + 3*sqrt(2) ~ 6.24,

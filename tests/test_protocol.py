@@ -135,6 +135,13 @@ class TestCoarseStage:
         with pytest.raises(ValueError):
             optc1_round(*_halves(_ids(5)), 6, np.random.default_rng(0))
 
+    def test_seed_exhaustion_raises(self):
+        # every window of an all-zero ID hashes to 0, so each selects all
+        # 100 tags, above the c + 6*sqrt(c) = 7 a suitable seed allows
+        zeros = np.zeros(100, dtype=np.uint64)
+        with pytest.raises(ProtocolError, match=r"no suitable seed for n=100, c=1 after \d+ tests"):
+            optc1_round(zeros, zeros, 1, np.random.default_rng(0))
+
     def test_rejects_non_unacknowledged(self):
         """The coarse stage reads IDs, not tags, so no tag carrying protocol
         state can enter it: it promotes nobody, hands over positions into
