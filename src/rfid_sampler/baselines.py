@@ -14,7 +14,6 @@ ID_MASK_BITS = 96
 
 @dataclass
 class BaselineReport(ReadyTags):
-    name: str
     commands: int
     bits: int
     pool: tuple[np.ndarray, np.ndarray] = field(repr=False)  # category ID halves
@@ -31,10 +30,8 @@ def run_random_select(
         picks = rng.choice(spec.n, size=spec.c, replace=False)
         bits = spec.c * (SELECT_FIXED_BITS + ID_MASK_BITS)
         reports.append(
-            BaselineReport(
-                name="random-select", commands=spec.c, bits=bits,
-                pool=population.halves(spec.k), positions=picks,
-            )
+            BaselineReport(commands=spec.c, bits=bits,
+                           pool=population.halves(spec.k), positions=picks)
         )
     return reports
 

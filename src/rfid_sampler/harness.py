@@ -182,11 +182,9 @@ def run_trial(
     elif protocol == "optc-impl":
         results = run_optc_impl(population, rng)
         bits = sum(r.bits for r in results)
-    elif protocol == "random-select":
+    else:  # random-select: _trial_rng has already rejected any other name
         reports = run_random_select(population, rng)
         bits = sum(r.bits for r in reports)
-    else:
-        raise ConfigurationError(f"unknown protocol {protocol!r}")
 
     lb_bits = lower_bound_bits(point.cs)
     return ResultRow(

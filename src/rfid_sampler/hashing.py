@@ -116,10 +116,11 @@ def find_suitable_seed(
 ) -> tuple[np.ndarray | None, SeedSearchStats]:
     """Draw substring start positions without replacement until a
     suitable seed appears for the tags with ID halves (hi, lo).  Returns the
-    tags' hashes mod n under that seed and the search statistics, which
-    name the seed.
+    positions of the tags that seed selects (hash mod n at most
+    c + 3*sqrt(c)), ascending, and the search statistics, which name the
+    seed.
 
-    Exhaustion is reported in the stats (hashes and seed None), not raised.
+    Exhaustion is reported in the stats (positions and seed None), not raised.
     """
     n = len(hi)
     L = mod_hash_width(n)
@@ -127,10 +128,9 @@ def find_suitable_seed(
     thr = np.array(math.floor(selection_threshold(c)), dtype=np.uint64)
 
     for tests, seed in enumerate(seed_windows(L, rng), start=1):
-        vals = substring_values(hi, lo, seed) % n
-        count = int(np.count_nonzero(vals <= thr))
-        if suitable_from_count(count, c):
-            return vals, SeedSearchStats(tests=tests, seed=seed)
+        selected = substring_values(hi, lo, seed) % n <= thr
+        if suitable_from_count(int(np.count_nonzero(selected)), c):
+            return selected.nonzero()[0], SeedSearchStats(tests=tests, seed=seed)
     return None, SeedSearchStats(tests=tests)
 
 

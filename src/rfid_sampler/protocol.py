@@ -9,16 +9,19 @@ side) moves the rows in marked singleton slots out of the pool as Ready.
 A round's outcome keeps the pool and the Ready rows by order; the Ready
 tags' Python-int IDs are built only if `RoundOutcome.ready` is read.
 
-Cost accounting keeps two views per round:
+Cost accounting keeps two views per refinement round:
 
-* ``bits_sent``    -- the explicit ledger: the frame bits plus a 1-bit stop
-  broadcast.  The refinement stage broadcasts no header: each iteration's
+* ``bits_sent``    -- what the stage itself broadcast: the frame bits plus a
+  1-bit stop.  The refinement stage broadcasts no header: each iteration's
   seed comes from a schedule both sides compute from the iteration index,
   and the frame length f = r + ceil(3*sqrt(c)) from the r orders still
   unassigned, which the tags track by counting ones.  A frame ends at its
   r-th one (the tags count them, so it delimits itself), else after f bits.
 * ``payload_bits`` -- the frame bits alone, the accounting under which the
   refinement stage's expected cost is e*c.
+
+A coarse round's ``bits_sent`` is its header; `run_optc`'s `CostLedger`
+is the sum over both stages of every category.
 
 With the coarse header, a category of n = 100 measures 2.50x the
 log2(e)*c lower bound at c = 10 and 2.03x at c = 50 (frame bits alone:
@@ -41,15 +44,16 @@ from .hashing import (
     find_suitable_seed,
     mod_hash_width,
     seed_spec,
-    selection_threshold,
     substring_values,
-    suitable_from_count,
 )
 from .population import ID_BITS, Population, ReadyTags
 
 
 @dataclass
 class RoundOutcome(ReadyTags):
+    """One stage's result for one category; `bits_sent` counts only the
+    bits that stage broadcast."""
+
     iterations: int = 0
     bits_sent: int = 0
     payload_bits: int = 0
@@ -63,8 +67,8 @@ class RoundOutcome(ReadyTags):
 
 @dataclass
 class CostLedger:
-    bits_reader_to_tag: int = 0
-    payload_bits: int = 0
+    bits_reader_to_tag: int
+    payload_bits: int
 
 
 def optc1_header_bits(n: int, c: int) -> int:
@@ -86,14 +90,9 @@ def optc1_round(
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
 
-    hashes, stats = find_suitable_seed(hi, lo, c, rng=rng)
-    if hashes is None:
+    positions, stats = find_suitable_seed(hi, lo, c, rng=rng)
+    if positions is None:
         raise ProtocolError(f"no suitable seed for n={n}, c={c} after {stats.tests} tests")
-
-    positions = (hashes <= math.floor(selection_threshold(c))).nonzero()[0]
-    if not suitable_from_count(len(positions), c):
-        raise ProtocolError(f"seed selected {len(positions)} tags, outside bounds")
-
     return RoundOutcome(
         iterations=1,
         bits_sent=optc1_header_bits(n, c),
@@ -158,12 +157,7 @@ def default_iteration_cap(c: int) -> int:
     return 64 * (1 + math.ceil(math.log2(c))) if c > 1 else 64
 
 
-def optc2_round(
-    pool: tuple[np.ndarray, np.ndarray],
-    c: int,
-    *,
-    iteration_cap: int | None = None,
-) -> RoundOutcome:
+def optc2_round(pool: tuple[np.ndarray, np.ndarray], c: int) -> RoundOutcome:
     """Refinement stage over the Selected tags' ID halves `pool` = (hi, lo):
     iterate seed -> hash -> frame -> promote until exactly c tags are Ready;
     the rest end Unselected.  Seeds and frame lengths are derived on both
@@ -172,7 +166,7 @@ def optc2_round(
     hi, lo = pool
     if not 1 <= c <= len(hi):
         raise ValueError(f"need 1 <= c <= l, got c={c}, l={len(hi)} selected")
-    cap = iteration_cap if iteration_cap is not None else default_iteration_cap(c)
+    cap = default_iteration_cap(c)
 
     extra = refine_frame_length(c, 0)  # f - r, fixed for the round
     rows = np.arange(len(hi))  # pool indices of the tags still Selected
@@ -233,21 +227,20 @@ def run_optc(
     population: Population,
     rng: np.random.Generator,
 ) -> tuple[list[RoundOutcome], CostLedger]:
-    """Full protocol: K coarse rounds, then K refinement rounds."""
-    ledger = CostLedger()
-    coarse: list[RoundOutcome] = []
-    for spec in population.categories:
-        hi, lo = population.halves(spec.k)
-        out = optc1_round(hi, lo, spec.c, rng)
-        coarse.append(out)
-        ledger.bits_reader_to_tag += out.bits_sent
-
-    outcomes = []
-    for spec, first in zip(population.categories, coarse):
-        hi, lo = population.halves(spec.k)
-        out = optc2_round((hi[first.positions], lo[first.positions]), spec.c)
-        ledger.bits_reader_to_tag += out.bits_sent
-        ledger.payload_bits += out.payload_bits
-        out.bits_sent += first.bits_sent
-        outcomes.append(out)
+    """Full protocol: K coarse rounds, then K refinement rounds.  Returns the
+    refinement outcomes, each with its own stage's bits, and the ledger of
+    the whole run: every stage's bits_sent and the frame bits, summed."""
+    halves = [population.halves(spec.k) for spec in population.categories]
+    coarse = [
+        optc1_round(hi, lo, spec.c, rng)
+        for spec, (hi, lo) in zip(population.categories, halves)
+    ]
+    outcomes = [
+        optc2_round((hi[first.positions], lo[first.positions]), spec.c)
+        for spec, (hi, lo), first in zip(population.categories, halves, coarse)
+    ]
+    ledger = CostLedger(
+        bits_reader_to_tag=sum(out.bits_sent for out in coarse + outcomes),
+        payload_bits=sum(out.payload_bits for out in outcomes),
+    )
     return outcomes, ledger

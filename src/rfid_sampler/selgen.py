@@ -122,7 +122,6 @@ def best_threshold(sorted_values: list[int], c: int, width: int) -> int:
 class ImplRoundResult(ReadyTags):
     """Per-category record of one full run on the Select-command realization."""
 
-    k: int
     coarse_seed: SeedSpec
     coarse_redraws: int
     coarse_selected: int
@@ -164,10 +163,8 @@ def run_impl_category(
     lo: np.ndarray,
     c: int,
     rng: np.random.Generator,
-    *,
-    k: int = 1,
 ) -> ImplRoundResult:
-    """Both stages for category k, given its tags' ID halves (hi, lo),
+    """Both stages for one category, given its tags' ID halves (hi, lo),
     returning the full command transcript.
 
     Stage one redraws the hash window until the number of tags under the
@@ -183,16 +180,12 @@ def run_impl_category(
     L1 = max(1, math.ceil(math.log2(n)))
     tau1 = scaled_coarse_threshold(n, c, L1)
     below = np.uint64(tau1)
-    coarse_seed = None
-    redraws1 = 0
-    for seed in seed_windows(L1, rng):
-        seed = _relabel(seed)
-        mask = substring_values(hi, lo, seed) <= below
-        redraws1 += 1
+    for redraws1, seed in enumerate(seed_windows(L1, rng), start=1):
+        coarse_seed = _relabel(seed)
+        mask = substring_values(hi, lo, coarse_seed) <= below
         if suitable_from_count(int(np.count_nonzero(mask)), c):
-            coarse_seed = seed
             break
-    if coarse_seed is None:
+    else:
         raise ProtocolError(f"no coarse hash window suits n={n}, c={c}")
     cmds = selgen_commands(tau1, L1)
 
@@ -200,20 +193,16 @@ def run_impl_category(
     s_hi, s_lo = hi[mask], lo[mask]
     l = len(s_hi)
     L2 = max(1, math.ceil(math.log2(l * l))) if l > 1 else 1
-    refine_seed = None
-    redraws2 = 0
-    for seed in seed_windows(L2, rng):
-        seed = _relabel(seed)
-        vals = substring_values(s_hi, s_lo, seed)
-        redraws2 += 1
+    for redraws2, seed in enumerate(seed_windows(L2, rng), start=1):
+        refine_seed = _relabel(seed)
+        vals = substring_values(s_hi, s_lo, refine_seed)
         # one stable sort: its first c rows are the picked tags in hash
         # order, and the c + 1 smallest values decide the draw
         rank = vals.argsort(kind="stable")
         head = vals[rank[: c + 1]].tolist()
         if len(set(head[:c])) == c and (c == l or head[c - 1] < head[c]):
-            refine_seed = seed
             break
-    if refine_seed is None:
+    else:
         raise ProtocolError(f"no refine hash window separates c={c} of l={l} tags")
 
     tau2 = best_threshold(head, c, L2)
@@ -222,7 +211,6 @@ def run_impl_category(
     cmds += selgen_commands(tau2, L2)
 
     return ImplRoundResult(
-        k=k,
         coarse_seed=coarse_seed,
         coarse_redraws=redraws1,
         coarse_selected=l,
@@ -242,11 +230,10 @@ def run_optc_impl(
     rng: np.random.Generator,
 ) -> list[ImplRoundResult]:
     """The Select-command realization over every category in turn."""
-    results = []
-    for spec in population.categories:
-        hi, lo = population.halves(spec.k)
-        results.append(run_impl_category(hi, lo, spec.c, rng, k=spec.k))
-    return results
+    return [
+        run_impl_category(*population.halves(spec.k), spec.c, rng)
+        for spec in population.categories
+    ]
 
 
 def command_budget(c: int) -> int:

@@ -107,6 +107,52 @@ def test_run_optc_calls_each_stage_once_per_category(monkeypatch):
     assert [arg(a, kw, 1, "c") for _, a, kw in calls[K:]] == [s.c for s in pop.categories]
 
 
+# The protocol.bits.* keys are added up from each stage's own result: the
+# coarse header from optc1_round's bits_sent, the frame and stop bits from
+# optc2_round's, and the seed tests from find_suitable_seed's stats (index 1).
+
+def test_stage_results_feed_the_protocol_hooks():
+    from rfid_sampler import hashing, protocol
+    from rfid_sampler.population import generate_population
+    from rfid_sampler.protocol import optc1_header_bits
+
+    spans = _spans()
+    pop = generate_population([(300, 20), (40, 6), (1, 1)], rng_seed=7)
+    for spec in pop.categories:
+        hi, lo = pop.halves(spec.k)
+        _, stats = hashing.find_suitable_seed(hi, lo, spec.c, np.random.default_rng(5))
+        tracer = spans.Tracer()
+        spans.install(tracer)
+        try:
+            first = protocol.optc1_round(hi, lo, spec.c, np.random.default_rng(5))
+            out = protocol.optc2_round((hi[first.positions], lo[first.positions]), spec.c)
+        finally:
+            tracer.unwrap_all()
+        assert tracer.absent == [] and tracer.hook_errors == []
+        assert tracer.count["hashing.seed_tests"] == stats.tests
+        assert tracer.count["protocol.bits.coarse_header"] == optc1_header_bits(spec.n, spec.c)
+        assert tracer.count["protocol.bits.frame"] == out.payload_bits > 0
+        assert tracer.count["protocol.bits.refine_header"] == 0
+
+
+def test_protocol_hooks_add_up_to_the_ledger():
+    from rfid_sampler import protocol
+    from rfid_sampler.population import generate_population
+
+    spans = _spans()
+    pop = generate_population([(60, 5), (40, 8), (25, 3)], rng_seed=21)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        _, ledger = protocol.run_optc(pop, np.random.default_rng(3))
+    finally:
+        tracer.unwrap_all()
+    bits = ("coarse_header", "refine_header", "frame", "stop")
+    assert tracer.hook_errors == []
+    assert sum(tracer.count[f"protocol.bits.{b}"] for b in bits) == ledger.bits_reader_to_tag
+    assert tracer.count["protocol.bits.frame"] == ledger.payload_bits
+
+
 # The sim workloads' selgen.* keys: the tracer counts one run_impl_category
 # call per category and reads its result's commands, coarse_redraws and
 # refine_redraws; it times best_threshold and selgen_commands inside it.

@@ -163,6 +163,17 @@ class TestCli:
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
         assert capsys.readouterr().err.startswith("protocol failure: no suitable seed")
 
+    def test_unwritable_output_exits_3(self, tmp_path, capsys):
+        argv = ["simulate", "--config", _write(tmp_path, GOOD_CONFIG),
+                "--out", str(tmp_path / "missing-dir" / "o.csv")]
+        assert main(argv) == 3
+        assert capsys.readouterr().err.startswith("runtime failure:")
+
+    def test_verify_fast_exactness(self, capsys):
+        assert main(["verify", "exactness", "--fast"]) == 0
+        out = capsys.readouterr().out
+        assert "in 300 rounds" in out and "[FAIL]" not in out
+
     def test_verify_fast_monotone(self, capsys):
         assert main(["verify", "monotone"]) == 0
         out = capsys.readouterr().out
@@ -206,27 +217,37 @@ class TestCli:
         assert main(["bounds", "--k", "100", "--c", "10"]) == 0
         assert "ratio=" in capsys.readouterr().out
 
-    @pytest.mark.parametrize("config,argv", [
-        pytest.param("K = 2\nn = 5\nc = 1\n", None, id="no-section-header"),
-        pytest.param(GOOD_CONFIG + GOOD_CONFIG, None, id="duplicate-section"),
-        pytest.param(GOOD_CONFIG.replace("trials = 2", "trials = abc"), None, id="trials-abc"),
-        pytest.param(GOOD_CONFIG.replace("seed = 9", "seed = x"), None, id="seed-x"),
-        pytest.param(None, ["bounds", "--k", "100", "--c", "abc"], id="bounds-c-abc"),
-        pytest.param(None, ["bounds", "--k", "0", "--c", "10"], id="bounds-k-0"),
-        pytest.param(None, ["bounds", "--k", "100", "--c", "0"], id="bounds-c-0"),
-        pytest.param(None, ["reliability", "--alpha", "1.5", "--epsilon", "0.01"],
+    @pytest.mark.parametrize("config,argv,env", [
+        pytest.param("K = 2\nn = 5\nc = 1\n", None, None, id="no-section-header"),
+        pytest.param(GOOD_CONFIG + GOOD_CONFIG, None, None, id="duplicate-section"),
+        pytest.param(GOOD_CONFIG.replace("trials = 2", "trials = abc"), None, None, id="trials-abc"),
+        pytest.param(GOOD_CONFIG.replace("seed = 9", "seed = x"), None, None, id="seed-x"),
+        pytest.param(None, ["bounds", "--k", "100", "--c", "abc"], None, id="bounds-c-abc"),
+        pytest.param(None, ["bounds", "--k", "0", "--c", "10"], None, id="bounds-k-0"),
+        pytest.param(None, ["bounds", "--k", "100", "--c", "0"], None, id="bounds-c-0"),
+        pytest.param(None, ["reliability", "--alpha", "1.5", "--epsilon", "0.01"], None,
                      id="alpha-1.5"),
-        pytest.param(None, ["reliability", "--alpha", "0.1:0.2", "--epsilon", "0.01"],
+        pytest.param(None, ["reliability", "--alpha", "0.1:0.2", "--epsilon", "0.01"], None,
                      id="alpha-two-part-range"),
-        pytest.param(None, ["reliability", "--alpha", "0.1:0.9:1e-6", "--epsilon", "0.01"],
+        pytest.param(None, ["reliability", "--alpha", "0.1:0.9:1e-6", "--epsilon", "0.01"], None,
                      id="alpha-sweep-over-10000-points"),
-        pytest.param(GOOD_CONFIG.replace("optc, random-select", ","), None,
+        pytest.param(GOOD_CONFIG.replace("optc, random-select", ","), None, None,
                      id="protocols-empty"),
-        pytest.param(GOOD_CONFIG.replace("optc, random-select", "optc, optc"), None,
+        pytest.param(GOOD_CONFIG.replace("optc, random-select", "optc, optc"), None, None,
                      id="protocols-repeated"),
-        pytest.param(GOOD_CONFIG.replace("seed = 9", "seed = -1"), None, id="seed-negative"),
+        pytest.param(GOOD_CONFIG.replace("seed = 9", "seed = -1"), None, None, id="seed-negative"),
+        pytest.param(GOOD_CONFIG.replace("K = 3", "K = 0"), None, None, id="K-0"),
+        pytest.param(GOOD_CONFIG.replace("trials = 2", "trials = 0"), None, None, id="trials-0"),
+        pytest.param(GOOD_CONFIG.replace("n = 20", "n = ,"), None, None, id="n-empty"),
+        pytest.param(GOOD_CONFIG.replace("n = 20", "n = 5,x"), None, None, id="n-non-integer"),
+        pytest.param(GOOD_CONFIG.replace("K = 3\n", ""), None, None, id="K-missing"),
+        pytest.param("# no sections\n", None, None, id="no-sections"),
+        pytest.param(None, ["bounds", "--k", "3", "--c", "1,2"], None, id="bounds-c-too-short"),
+        pytest.param(GOOD_CONFIG, None, "abc", id="env-seed-abc"),
     ])
-    def test_bad_input_exits_2(self, tmp_path, capsys, config, argv):
+    def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, config, argv, env):
+        if env is not None:
+            monkeypatch.setenv("RFID_SAMPLER_SEED", env)
         if config is not None:
             argv = ["simulate", "--config", _write(tmp_path, config),
                     "--out", str(tmp_path / "o.csv")]

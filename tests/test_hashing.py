@@ -168,14 +168,18 @@ def test_find_suitable_seed_deterministic():
     rng2 = np.random.default_rng(7)
     ids = [int(x) for x in np.random.default_rng(0).integers(0, 1 << 63, 200)]
     hi, lo = _halves(ids)
-    h1, st1 = find_suitable_seed(hi, lo, 10, rng=rng1)
-    h2, st2 = find_suitable_seed(hi, lo, 10, rng=rng2)
+    pos1, st1 = find_suitable_seed(hi, lo, 10, rng=rng1)
+    pos2, st2 = find_suitable_seed(hi, lo, 10, rng=rng2)
     assert st1.seed == st2.seed and st1.tests == st2.tests
-    # the hashes handed back are the accepted seed's, reduced mod n
-    assert np.array_equal(h1, h2)
-    assert h1.tolist() == [hash_mod(i, st1.seed, len(ids)) for i in ids]
+    # the positions handed back are the tags whose scalar hash mod n under
+    # the accepted seed clears the threshold, ascending
+    assert np.array_equal(pos1, pos2)
+    assert pos1.tolist() == [
+        i for i, tag_id in enumerate(ids)
+        if hash_mod(tag_id, st1.seed, len(ids)) <= selection_threshold(10)
+    ]
     # the accepted seed selects a suitable count of tags
-    assert suitable_from_count(int((h1 <= selection_threshold(10)).sum()), 10)
+    assert suitable_from_count(len(pos1), 10)
 
 
 def test_seed_trial_statistics_shape():

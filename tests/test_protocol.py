@@ -15,7 +15,7 @@ from rfid_sampler import (
     optc2_round,
     run_optc,
 )
-from rfid_sampler import protocol
+from rfid_sampler import protocol, verify
 from rfid_sampler.hashing import find_suitable_seed, selection_threshold
 from rfid_sampler.population import halves_to_ids
 from rfid_sampler.protocol import (
@@ -224,9 +224,10 @@ class TestRefineStage:
         with pytest.raises(ProtocolError, match="counter mismatch"):
             optc2_round(_halves(_ids(16)), 8)
 
-    def test_iteration_cap_raises(self):
-        with pytest.raises(ProtocolError):
-            optc2_round(_halves(_ids(16)), 8, iteration_cap=0)
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(protocol, "default_iteration_cap", lambda c: 0)
+        with pytest.raises(ProtocolError, match="did not converge within 0 iterations"):
+            optc2_round(_halves(_ids(16)), 8)
 
 
 @given(n=st.integers(2, 120), data=st.data())
@@ -240,11 +241,35 @@ def test_round_trip_exactness(n, data):
     assert len({i for i, _ in sampled}) == c
 
 
+@pytest.mark.parametrize("corrupt", [
+    pytest.param(lambda sampled, n: [(sampled[0][0], o) for _, o in sampled], id="repeat"),
+    pytest.param(lambda sampled, n: [(n, 1)] + sampled[1:], id="out-of-range"),
+])
+def test_exactness_suite_catches_a_bad_sample(monkeypatch, corrupt):
+    # the first round's sample (c = 81 at the suite's seed) is corrupted;
+    # the other rounds are real
+    calls = []
+
+    def corrupted_first(n, c, rng):
+        sampled = sample_once(n, c, rng)
+        calls.append(c)
+        return corrupt(sampled, n) if len(calls) == 1 else sampled
+
+    monkeypatch.setattr(verify, "sample_once", corrupted_first)
+    [check] = verify.suite_exactness(rounds=5)
+    assert calls[0] > 1
+    assert check.line() == "[FAIL] exactness/rounds: 1 violations in 5 rounds (need 0)"
+
+
 def test_run_optc_full_population():
     pop = generate_population([(60, 5), (40, 8), (25, 3)], rng_seed=21)
     outcomes, ledger = run_optc(pop, np.random.default_rng(3))
     assert len(outcomes) == 3
     for spec, out in zip(pop.categories, outcomes):
         assert sorted(o for _, o in out.ready) == list(range(1, spec.c + 1))
-    assert ledger.bits_reader_to_tag == sum(o.bits_sent for o in outcomes)
+    # each outcome reports its own refinement stage's bits; the ledger adds
+    # every category's coarse header
+    headers = sum(optc1_header_bits(s.n, s.c) for s in pop.categories)
+    assert ledger.bits_reader_to_tag == headers + sum(o.bits_sent for o in outcomes)
+    assert all(o.bits_sent == o.payload_bits + 1 for o in outcomes)
     assert ledger.payload_bits == sum(o.payload_bits for o in outcomes) > 0
