@@ -39,7 +39,13 @@ protocols = optc, optc-impl, random-select
 SIMULATE_CSV_SHA256 = "d5c3a445dac846a6271aa1acfa1aefb57f8682cb1b8a6de5db247a57239e7639"
 SIMULATE_JSON_SHA256 = "7a490cc00e2853acfbccb02f03937e5c988f43409f3c6e2d5e37c254bb216df3"
 SAMPLE_ONCE_SHA256 = "1404132068085e02c7739be059f1a53b73909a8038f179502fce637ae7eb3571"
-SAMPLED_IDS_SHA256 = "bc169261a6a6538b12a2e8ed67ae48f638f55416295fd59e9253ecb4fed557b5"
+# one digest per part, so a failure names the part that moved
+SAMPLED_IDS_SHA256 = {
+    "ids": "bec2565d43f3de2046facaa41d0c85be900c11731b9679d0fbc3c52814026f3a",
+    "optc": "811160a06b594aefdce3a0d978cc0eb10ee5e5316e654bf873bb5bd94153539f",
+    "optc-impl": "2a407a0fd6d02ff6a90bed8044e1a2eca1b58758d337262de87b380191cbdf1e",
+    "random-select": "a16516565daed382a7201b82d0eed046a7a597749ef06514aae8822b9bf95a07",
+}
 
 # (n, c) rounds for the sample_once sequence: n = c, n = 1, tiny, and wide
 ROUNDS = [(1, 1), (2, 1), (6, 2), (6, 6), (40, 7), (100, 10), (257, 50), (1000, 100), (999, 1)]
@@ -67,16 +73,19 @@ def test_sample_once_sequence_digest():
 
 def test_population_and_sampled_ids_digest():
     """The CSV records bits only; this pins the IDs themselves: every
-    category's tags in order, and the tags each protocol samples."""
+    category's set of IDs (sorted), and the tags each protocol samples."""
     pop = generate_population([(40, 5), (60, 8), (300, 20), (1, 1)], rng_seed=77)
     optc, _ = run_optc(pop, np.random.default_rng(1))
     impl = run_optc_impl(pop, np.random.default_rng(2))
     baseline = run_random_select(pop, np.random.default_rng(3))
     record = {
-        "ids": [[t.id for t in category_tags(pop, s.k)] for s in pop.categories],
+        "ids": [sorted(t.id for t in category_tags(pop, s.k)) for s in pop.categories],
         "optc": [out.ready for out in optc],
         "optc-impl": [res.ready for res in impl],
         "random-select": [rep.ready for rep in baseline],
     }
-    digest = hashlib.sha256(json.dumps(record).encode()).hexdigest()
-    assert digest == SAMPLED_IDS_SHA256
+    digests = {
+        part: hashlib.sha256(json.dumps(value).encode()).hexdigest()
+        for part, value in record.items()
+    }
+    assert digests == SAMPLED_IDS_SHA256
