@@ -81,9 +81,12 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selgen(args) -> int:
+    from .population import ID_BITS
     from .selgen import selgen_commands, selgen_filters
 
-    if args.tau < 0 or args.bits < 1 or args.tau >= (1 << args.bits):
+    if not 1 <= args.bits <= ID_BITS:  # a hash window is a substring of the ID
+        raise ConfigurationError(f"need 1 <= bits <= {ID_BITS}, got bits={args.bits}")
+    if not 0 <= args.tau < (1 << args.bits):
         raise ConfigurationError(
             f"need 0 <= tau < 2^bits, got tau={args.tau}, bits={args.bits}"
         )

@@ -5,15 +5,17 @@ random, so any substring window is usable as a hash source.  IDs are unique
 within a population (collisions are resolved by redraw).
 
 A population is stored as arrays: each ID as its high and low 48-bit halves,
-categories contiguous and ascending by ID inside each, with CSR offsets
-marking where each category starts.  The protocol stages work on these
+categories contiguous and in draw order inside each, with CSR offsets
+marking where each category starts.  OPT-C and optc-impl depend only on a
+category's set of IDs, and random-select picks uniformly random rows, so no
+protocol relies on that order.  The protocol stages work on these
 arrays and keep no per-tag state, so every run starts from reset;
 `category_tags` lists a category's IDs as `Tag` records.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -51,48 +53,26 @@ class CategorySpec:
 
 @dataclass
 class Population:
-    """Categories in order; category i holds the IDs hi/lo[offsets[i]:offsets[i+1]],
-    ascending."""
+    """Categories 1..K in order; category k holds the IDs
+    hi/lo[offsets[k-1]:offsets[k]], in draw order."""
 
     categories: list[CategorySpec]
     hi: np.ndarray
     lo: np.ndarray
     offsets: np.ndarray
-    _index: dict[int, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._index = {s.k: i for i, s in enumerate(self.categories)}
 
     def halves(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """(hi, lo) ID halves of category k, ascending by ID (views, not copies)."""
-        try:
-            i = self._index[k]
-        except KeyError:
-            raise KeyError(f"no category {k}") from None
-        a, b = self.offsets[i], self.offsets[i + 1]
+        """(hi, lo) ID halves of category k, in draw order (views, not copies)."""
+        if not 1 <= k <= len(self.categories):
+            raise KeyError(f"no category {k}")
+        a, b = self.offsets[k - 1], self.offsets[k]
         return self.hi[a:b], self.lo[a:b]
 
 
-def _lexsort_by_key(key: np.ndarray, keys: tuple[np.ndarray, ...]) -> np.ndarray:
-    """np.lexsort(keys) from one unstable argsort of the uint64 `key`, which
-    must be non-decreasing in that order; only the elements of runs of equal
-    keys are lexsorted, taken in index order so the result stays stable."""
-    order = np.argsort(key)
-    k = key[order]
-    eq = k[1:] == k[:-1]
-    if not eq.any():
-        return order
-    tied = np.append(eq, False)
-    tied[1:] |= eq
-    sub = np.sort(order[tied])
-    order[tied] = sub[np.lexsort(tuple(a[sub] for a in keys))]
-    return order
-
-
 def _first_occurrences(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
-    """Mask keeping the first (lowest-index) occurrence of every (hi, lo) pair,
-    from IDs sorted on hi with only runs of equal high halves lexsorted."""
-    order = _lexsort_by_key(hi, (lo, hi))
+    """Mask keeping the first (lowest-index) occurrence of every (hi, lo) pair;
+    the stable lexsort keeps equal pairs in index order."""
+    order = np.lexsort((lo, hi))
     h, l = hi[order], lo[order]
     keep = np.ones(len(hi), dtype=bool)
     keep[order[1:][(h[1:] == h[:-1]) & (l[1:] == l[:-1])]] = False
@@ -119,17 +99,6 @@ def random_ids(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray
     return hi, lo
 
 
-def _category_order(hi: np.ndarray, lo: np.ndarray, sizes: np.ndarray) -> np.ndarray:
-    """Permutation sorting IDs dealt to categories in draw order (sizes[i]
-    to category i) by (category, ID): one sort of the category packed above
-    hi >> d (d > 0 only past 2^16 categories, so the key fits 64 bits), then
-    a lexsort by (category, hi, lo) of only the runs of equal keys."""
-    category = np.repeat(np.arange(len(sizes), dtype=np.uint64), sizes)
-    d = max(0, (len(sizes) - 1).bit_length() - 16)
-    key = (category << np.uint64(_HALF_BITS - d)) | (hi >> np.uint64(d))
-    return _lexsort_by_key(key, (lo, hi, category))
-
-
 def halves_to_ids(hi: np.ndarray, lo: np.ndarray) -> list[int]:
     """Python-int IDs from their (hi, lo) halves, in the given order."""
     return [(h << _HALF_BITS) | l for h, l in zip(hi.tolist(), lo.tolist())]
@@ -151,7 +120,8 @@ class ReadyTags:
 def generate_population(
     category_sizes: list[tuple[int, int]], rng_seed: int
 ) -> Population:
-    """Build a population from (n_k, c_k) pairs; deterministic in rng_seed."""
+    """Build a population from (n_k, c_k) pairs; deterministic in rng_seed.
+    The first n_1 IDs drawn go to category 1, the next n_2 to category 2, ..."""
     if not category_sizes:
         raise ConfigurationError("need at least one category")
     specs = [CategorySpec(k, n, c) for k, (n, c) in enumerate(category_sizes, start=1)]
@@ -162,12 +132,11 @@ def generate_population(
 
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     hi, lo = random_ids(total, rng)
-    order = _category_order(hi, lo, sizes)
     offsets = np.zeros(len(specs) + 1, dtype=np.int64)
     np.cumsum(sizes, out=offsets[1:])
-    return Population(categories=specs, hi=hi[order], lo=lo[order], offsets=offsets)
+    return Population(categories=specs, hi=hi, lo=lo, offsets=offsets)
 
 
 def category_tags(population: Population, k: int) -> list[Tag]:
-    """The tags of category k, ordered by ascending ID."""
+    """The tags of category k, in draw order."""
     return [Tag(id=i) for i in halves_to_ids(*population.halves(k))]

@@ -44,7 +44,9 @@ SAMPLED_IDS_SHA256 = {
     "ids": "bec2565d43f3de2046facaa41d0c85be900c11731b9679d0fbc3c52814026f3a",
     "optc": "811160a06b594aefdce3a0d978cc0eb10ee5e5316e654bf873bb5bd94153539f",
     "optc-impl": "2a407a0fd6d02ff6a90bed8044e1a2eca1b58758d337262de87b380191cbdf1e",
-    "random-select": "a16516565daed382a7201b82d0eed046a7a597749ef06514aae8822b9bf95a07",
+    # random-select picks rows, so its IDs follow each category's row order
+    # (draw order); the other parts depend only on the categories' ID sets
+    "random-select": "89cf9135f0b09e53131a533b3adf73b7e817a360e93676c771303e66fd9ee763",
 }
 
 # (n, c) rounds for the sample_once sequence: n = c, n = 1, tiny, and wide

@@ -244,6 +244,8 @@ class TestCli:
         pytest.param("# no sections\n", None, None, id="no-sections"),
         pytest.param(None, ["bounds", "--k", "3", "--c", "1,2"], None, id="bounds-c-too-short"),
         pytest.param(GOOD_CONFIG, None, "abc", id="env-seed-abc"),
+        pytest.param(None, ["selgen", "--tau", "0", "--bits", "97"], None,
+                     id="selgen-bits-past-id"),
     ])
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, config, argv, env):
         if env is not None:

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from rfid_sampler import ConfigurationError, category_tags, generate_population
-from rfid_sampler.population import (
-    _category_order,
-    _first_occurrences,
-    halves_to_ids,
-    random_ids,
-)
+from rfid_sampler.baselines import run_random_select
+from rfid_sampler.population import Population, _first_occurrences, halves_to_ids, random_ids
+from rfid_sampler.protocol import optc1_round, optc2_round
+from rfid_sampler.selgen import run_optc_impl
 
 
 def test_sizes_and_partition():
@@ -37,16 +35,11 @@ def test_deterministic_in_seed():
     assert not (np.array_equal(a.hi, c.hi) and np.array_equal(a.lo, c.lo))
 
 
-def test_category_tags_sorted_by_id():
-    pop = generate_population([(30, 1)], rng_seed=9)
-    ids = [t.id for t in category_tags(pop, 1)]
-    assert ids == sorted(ids)
-
-
 def test_unknown_category_raises():
     pop = generate_population([(5, 1)], rng_seed=0)
-    with pytest.raises(KeyError):
-        category_tags(pop, 7)
+    for k in (7, 2, 0, -1):
+        with pytest.raises(KeyError, match=f"no category {k}"):
+            category_tags(pop, k)
 
 
 @pytest.mark.parametrize("sizes", [[(3, 4)], [(0, 0)], []])
@@ -122,7 +115,7 @@ def test_population_matches_reference_loop():
     ref = _reference_ids(370, np.random.default_rng(np.random.SeedSequence(123)))
     pos = 0
     for spec in pop.categories:
-        assert [t.id for t in category_tags(pop, spec.k)] == sorted(ref[pos:pos + spec.n])
+        assert [t.id for t in category_tags(pop, spec.k)] == ref[pos:pos + spec.n]
         pos += spec.n
 
 
@@ -136,38 +129,67 @@ def test_desk_scale_cap():
         generate_population([(1 << 19, 1), ((1 << 19) + 1, 5)], rng_seed=4)
 
 
-def _first_occurrences_by_lexsort(hi, lo):
-    """The two-key lexsort the sort in `_first_occurrences` must reproduce."""
-    order = np.lexsort((lo, hi))
-    h, l = hi[order], lo[order]
-    keep = np.ones(len(hi), dtype=bool)
-    keep[order[1:][(h[1:] == h[:-1]) & (l[1:] == l[:-1])]] = False
-    return keep
+def _first_occurrences_by_loop(hi, lo):
+    """The first occurrence seen of every (hi, lo) pair, one pair at a time."""
+    seen = set()
+    keep = []
+    for pair in zip(hi.tolist(), lo.tolist()):
+        keep.append(pair not in seen)
+        seen.add(pair)
+    return np.array(keep)
 
 
-def test_category_order_matches_full_sort():
+def test_first_occurrences_matches_python_loop():
     rng = np.random.default_rng(3)
-    # Few high halves, so IDs of one category share them and the order has
-    # to separate them by the low halves.
-    sizes = rng.integers(1, 40, size=6)
-    hi = rng.integers(0, 4, size=sizes.sum(), dtype=np.uint64) << np.uint64(46)
-    lo = rng.integers(0, 1 << 48, size=sizes.sum(), dtype=np.uint64)
-    cases = [(sizes, hi, lo)]
-    # IDs from a tiny alphabet: long runs of equal high halves, and repeated
-    # (hi, lo) pairs inside a category.
-    sizes = rng.integers(1, 40, size=6)
-    cases.append((sizes, *rng.integers(0, 3, size=(2, sizes.sum()), dtype=np.uint64)))
-    # Past 2^16 categories the packed sort key drops the low bits of hi, so
-    # high halves that differ only there tie in the key.
-    sizes = rng.integers(1, 3, size=(1 << 17) + 3)
-    cases.append((sizes, *rng.integers(0, 8, size=(2, sizes.sum()), dtype=np.uint64)))
+    # Few high halves, so IDs share them and only the low halves tell
+    # them apart.
+    hi = rng.integers(0, 4, size=120, dtype=np.uint64) << np.uint64(46)
+    lo = rng.integers(0, 1 << 48, size=120, dtype=np.uint64)
+    cases = [(hi, lo)]
+    # IDs from a tiny alphabet: long runs of equal high halves, and
+    # repeated (hi, lo) pairs.
+    cases.append(tuple(rng.integers(0, 3, size=(2, 150), dtype=np.uint64)))
 
-    for sizes, hi, lo in cases:
-        category = np.repeat(np.arange(len(sizes)), sizes)
-        order = _category_order(hi, lo, sizes)
-        assert np.array_equal(order, np.lexsort((lo, hi, category)))
-        ids = halves_to_ids(hi, lo)
-        assert [(category[i], ids[i]) for i in order.tolist()] == sorted(
-            zip(category.tolist(), ids)
+    for hi, lo in cases:
+        keep = _first_occurrences(hi, lo)
+        assert np.array_equal(keep, _first_occurrences_by_loop(hi, lo))
+
+
+def _shuffled(pop):
+    """The population with each category's rows in a fixed other order."""
+    order = np.concatenate([
+        a + np.random.default_rng(99).permutation(b - a)
+        for a, b in zip(pop.offsets[:-1].tolist(), pop.offsets[1:].tolist())
+    ])
+    return Population(pop.categories, pop.hi[order], pop.lo[order], pop.offsets)
+
+
+def _sample_all(pop, seed):
+    """What every protocol reports, drawn from one generator in turn, and
+    the generator's next draw, which shows they all drew the same."""
+    rng = np.random.default_rng(seed)
+    record = []
+    for spec in pop.categories:
+        hi, lo = pop.halves(spec.k)
+        first = optc1_round(hi, lo, spec.c, rng)
+        out = optc2_round((hi[first.positions], lo[first.positions]), spec.c)
+        record.append((out.ready, first.bits_sent, out.bits_sent, out.payload_bits))
+    record += [(res.ready, res.bits) for res in run_optc_impl(pop, rng)]
+    record += [rep.bits for rep in run_random_select(pop, rng)]
+    return record, int(rng.integers(1 << 62))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 31])
+def test_sampling_ignores_row_order(seed):
+    # OPT-C and optc-impl decide from a category's set of IDs, so the order
+    # of its rows (draw order) changes nothing they pick or broadcast;
+    # random-select draws the same rows and sends the same bits.
+    pop = generate_population([(1, 1), (2, 1), (6, 6), (40, 7), (300, 20), (1000, 50)],
+                              rng_seed=seed)
+    shuffled = _shuffled(pop)
+    assert not np.array_equal(shuffled.hi, pop.hi)
+    for spec in pop.categories:
+        assert set(halves_to_ids(*shuffled.halves(spec.k))) == set(
+            halves_to_ids(*pop.halves(spec.k))
         )
-        assert np.array_equal(_first_occurrences(hi, lo), _first_occurrences_by_lexsort(hi, lo))
+    assert _sample_all(shuffled, seed + 1) == _sample_all(pop, seed + 1)

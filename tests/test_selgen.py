@@ -18,6 +18,7 @@ from rfid_sampler import (
     selgen_commands,
     selgen_filters,
 )
+from rfid_sampler.population import halves_to_ids
 from rfid_sampler.selgen import (
     SELECT_FIXED_BITS,
     command_budget,
@@ -163,6 +164,27 @@ class TestImplementation:
         values = [hashes[tid] for tid in ids_in_order]
         assert values == sorted(values)
         assert all(v <= res.tau_refine for v in values)
+
+    def test_transcript_replays_from_its_own_fields(self):
+        # each category's result explains itself: its seeds and thresholds
+        # rebuild the pool, the commands and the picked rows
+        from tag_oracle import substring_hash
+
+        pop = generate_population([(1, 1), (6, 6), (25, 6), (300, 20)], rng_seed=41)
+        for spec, res in zip(pop.categories, run_optc_impl(pop, np.random.default_rng(12))):
+            ids = [t.id for t in category_tags(pop, spec.k)]
+            pool = [i for i in ids if substring_hash(i, res.coarse_seed) <= res.tau_coarse]
+            assert len(pool) == res.coarse_selected
+            assert halves_to_ids(*res.pool) == pool
+            assert res.commands == (
+                selgen_commands(res.tau_coarse, res.coarse_seed.length)
+                + selgen_commands(res.tau_refine, res.refine_seed.length)
+            )
+            picked = [
+                row for row, i in enumerate(pool)
+                if substring_hash(i, res.refine_seed) <= res.tau_refine
+            ]
+            assert picked == sorted(res.positions.tolist())
 
     def test_command_budget_on_small_scenarios(self):
         rng = np.random.default_rng(11)
