@@ -25,7 +25,7 @@ pop = generate_population([(20, 6), (30, 6)] * 4, rng_seed=5)
 rng = np.random.default_rng(9)
 results = run_optc_impl(pop, rng)
 impl_bits = sum(r.bits for r in results)
-impl_cmds = sum(r.command_count for r in results)
+impl_cmds = sum(len(r.commands) for r in results)
 
 pop2 = generate_population([(20, 6), (30, 6)] * 4, rng_seed=5)
 baseline_bits = sum(r.bits for r in run_random_select(pop2, np.random.default_rng(9)))

@@ -44,7 +44,6 @@ from .protocol import (
 )
 from .selgen import (
     ImplRoundResult,
-    SelectCommand,
     best_threshold,
     command_count,
     run_optc_impl,

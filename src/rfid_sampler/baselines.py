@@ -6,10 +6,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .population import Population, ReadyTags
+from .population import ID_BITS, Population, ReadyTags
 from .selgen import SELECT_FIXED_BITS
-
-ID_MASK_BITS = 96
 
 
 @dataclass
@@ -28,7 +26,7 @@ def run_random_select(
     reports = []
     for spec in population.categories:
         picks = rng.choice(spec.n, size=spec.c, replace=False)
-        bits = spec.c * (SELECT_FIXED_BITS + ID_MASK_BITS)
+        bits = spec.c * (SELECT_FIXED_BITS + ID_BITS)
         reports.append(
             BaselineReport(commands=spec.c, bits=bits,
                            pool=population.halves(spec.k), positions=picks)

@@ -82,7 +82,7 @@ def cmd_verify(args) -> int:
 
 def cmd_selgen(args) -> int:
     from .population import ID_BITS
-    from .selgen import selgen_commands, selgen_filters
+    from .selgen import commands_bit_cost, selgen_commands, selgen_filters
 
     if not 1 <= args.bits <= ID_BITS:  # a hash window is a substring of the ID
         raise ConfigurationError(f"need 1 <= bits <= {ID_BITS}, got bits={args.bits}")
@@ -94,10 +94,10 @@ def cmd_selgen(args) -> int:
     commands = selgen_commands(args.tau, args.bits)
     print(f"threshold {args.tau} over {args.bits}-bit hashes: "
           f"{len(commands)} Select commands")
-    for filt, cmd in zip(filters, commands):
-        print(f"  filter {filt}  mask {cmd.mask or '(empty)'}  "
-              f"length {cmd.length}  cost {cmd.bit_cost} bits")
-    print(f"total {sum(c.bit_cost for c in commands)} bits")
+    for filt, mask in zip(filters, commands):
+        print(f"  filter {filt}  mask {mask or '(empty)'}  "
+              f"length {len(mask)}  cost {commands_bit_cost([mask])} bits")
+    print(f"total {commands_bit_cost(commands)} bits")
     return EXIT_OK
 
 

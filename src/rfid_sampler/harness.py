@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .baselines import run_random_select
 from .errors import ConfigurationError
-from .population import generate_population
+from .population import check_population_cap, generate_population
 from .protocol import run_optc
 from .selgen import run_optc_impl
 
@@ -64,6 +64,7 @@ class ScenarioConfig:
                     f"{self.scenario_id}: category {k} needs 1 <= c <= n, "
                     f"got c={c}, n={n}"
                 )
+        check_population_cap(sum(self.ns))
         if not self.protocols:
             raise ConfigurationError(f"{self.scenario_id}: no protocols listed")
         if len(set(self.protocols)) != len(self.protocols):
@@ -100,6 +101,7 @@ def _int_key(sec, key: str, fallback: int | None = None) -> int:
 
 def _scenario(sec, seed_override: int | None) -> ScenarioConfig:
     K = _int_key(sec, "K")
+    check_population_cap(K)
     for key in ("n", "c"):
         if key not in sec:
             raise ConfigurationError(f"[{sec.name}]: missing key {key}")
@@ -259,6 +261,7 @@ def bounds_report(K: int, cs, ns=None) -> dict:
     in bits; `cs`/`ns` may be single ints (replicated) or K-length lists."""
     if K < 1:
         raise ConfigurationError(f"need K >= 1 categories, got {K}")
+    check_population_cap(K)
     cs = [cs] * K if isinstance(cs, int) else list(cs)
     if len(cs) != K:
         raise ConfigurationError(f"need K={K} sample counts, got {len(cs)}")

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ProtocolError
 from .population import ID_BITS, _HALF_BITS, random_ids
 
 
@@ -42,7 +43,7 @@ seed_spec = functools.cache(SeedSpec)  # seed_spec(start, length): one shared Se
 @dataclass
 class SeedSearchStats:
     tests: int
-    seed: SeedSpec | None = None  # the accepted seed, None on exhaustion
+    seed: SeedSpec  # the accepted seed
 
 
 def mod_hash_width(m: int) -> int:
@@ -102,10 +103,17 @@ def suitable_from_count(count: int, c: int) -> bool:
 
 
 def seed_windows(length: int, rng: np.random.Generator) -> Iterator[SeedSpec]:
-    """Every L-bit window once, in uniformly random order: draw i of
-    rng.permutation(97 - L) is the (shared) window starting at bit i + 1."""
-    for idx in rng.permutation(ID_BITS - length + 1).tolist():
-        yield seed_spec(idx + 1, length)
+    """Every L-bit window once, in uniformly random order, labelled COTS
+    first: draw i of rng.permutation(m), m = 97 - L, is the (shared) window
+    with the i-th start counted from bit 81 and wrapping round to bit 1, so
+    the starts 81..m, which lie in the ID's last 16 bits (the COTS window),
+    come before 1..80.  No start reaches bit 81 when m <= 80, and the order
+    is the plain one, draw i starting at bit i + 1; every OPT-C search has
+    mod_hash_width(n) >= 17, so m <= 80 there."""
+    m = ID_BITS - length + 1
+    shift = 80 if m > 80 else 0
+    for idx in rng.permutation(m).tolist():
+        yield seed_spec((idx + shift) % m + 1, length)
 
 
 def find_suitable_seed(
@@ -113,14 +121,12 @@ def find_suitable_seed(
     lo: np.ndarray,
     c: int,
     rng: np.random.Generator,
-) -> tuple[np.ndarray | None, SeedSearchStats]:
+) -> tuple[np.ndarray, SeedSearchStats]:
     """Draw substring start positions without replacement until a
     suitable seed appears for the tags with ID halves (hi, lo).  Returns the
     positions of the tags that seed selects (hash mod n at most
     c + 3*sqrt(c)), ascending, and the search statistics, which name the
-    seed.
-
-    Exhaustion is reported in the stats (positions and seed None), not raised.
+    seed.  Raises ProtocolError when no window is suitable.
     """
     n = len(hi)
     L = mod_hash_width(n)
@@ -131,7 +137,7 @@ def find_suitable_seed(
         selected = substring_values(hi, lo, seed) % n <= thr
         if suitable_from_count(int(np.count_nonzero(selected)), c):
             return selected.nonzero()[0], SeedSearchStats(tests=tests, seed=seed)
-    return None, SeedSearchStats(tests=tests)
+    raise ProtocolError(f"no suitable seed for n={n}, c={c} after {tests} tests")
 
 
 def seed_trial_statistics(n: int, c: int, trials: int, rng_seed: int) -> dict:
@@ -152,8 +158,6 @@ def seed_trial_statistics(n: int, c: int, trials: int, rng_seed: int) -> dict:
         rng = np.random.default_rng(ss)
         hi, lo = random_ids(n, rng)
         _, stats = find_suitable_seed(hi, lo, c, rng=rng)
-        if stats.seed is None:
-            raise RuntimeError(f"seed pool exhausted for n={n}, c={c}")
         tests_seen.append(stats.tests)
         if stats.tests == 1:
             first_ok += 1

@@ -117,6 +117,13 @@ class ReadyTags:
         return list(zip(ids, range(1, len(ids) + 1)))
 
 
+def check_population_cap(tags: int) -> None:
+    """Reject more than 2^20 tags; K categories hold at least K tags, so a
+    category count is checked the same way before any schedule is built."""
+    if tags > _MAX_POPULATION:
+        raise ConfigurationError(f"population of {tags} tags exceeds desk scale 2^20")
+
+
 def generate_population(
     category_sizes: list[tuple[int, int]], rng_seed: int
 ) -> Population:
@@ -124,11 +131,10 @@ def generate_population(
     The first n_1 IDs drawn go to category 1, the next n_2 to category 2, ..."""
     if not category_sizes:
         raise ConfigurationError("need at least one category")
+    total = sum(n for n, _ in category_sizes)
+    check_population_cap(total)
     specs = [CategorySpec(k, n, c) for k, (n, c) in enumerate(category_sizes, start=1)]
     sizes = np.array([s.n for s in specs], dtype=np.int64)
-    total = int(sizes.sum())
-    if total > _MAX_POPULATION:
-        raise ConfigurationError(f"population of {total} exceeds desk scale 2^20")
 
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
     hi, lo = random_ids(total, rng)

@@ -91,8 +91,6 @@ def optc1_round(
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
 
     positions, stats = find_suitable_seed(hi, lo, c, rng=rng)
-    if positions is None:
-        raise ProtocolError(f"no suitable seed for n={n}, c={c} after {stats.tests} tests")
     return RoundOutcome(
         iterations=1,
         bits_sent=optc1_header_bits(n, c),

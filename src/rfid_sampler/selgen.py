@@ -2,11 +2,12 @@
 
 A threshold tau over L-bit hash values is turned into a short list of
 prefix filters (strings over {0, 1, *}) that jointly match exactly the
-values in [0, tau].  Each filter becomes one Select command whose mask is
-the filter without its trailing stars, so a command costs the fixed C1G2
-fields (SELECT_FIXED_BITS) plus its mask length.  Where the hash window
-starts is recorded per stage (`ImplRoundResult.coarse_seed`,
-`refine_seed`), not per command.
+values in [0, tau].  Each filter becomes one Select command, and a
+command is its mask: the filter without its trailing stars, as a string
+of bits, MSB first.  A command costs the fixed C1G2 fields
+(SELECT_FIXED_BITS) plus its mask length.  Where the hash window starts
+is recorded per stage (`ImplRoundResult.coarse_seed`, `refine_seed`),
+not per command.
 """
 
 from __future__ import annotations
@@ -19,37 +20,20 @@ import numpy as np
 from .errors import ProtocolError
 from .hashing import (
     SeedSpec,
-    seed_spec,
     seed_windows,
     selection_threshold,
     substring_values,
     suitable_from_count,
 )
-from .population import ID_BITS, Population, ReadyTags
+from .population import Population, ReadyTags
 
 # Target(3) + Action(3) + MemBank(2) + Pointer(16) + Length(8): every
 # field except the mask, charged at full width whatever its value
 SELECT_FIXED_BITS = 3 + 3 + 2 + 16 + 8
 
 
-@dataclass(frozen=True)
-class SelectCommand:
-    """One C1G2 Select command, costed by its mask: the bit pattern, MSB
-    first, that a tag compares against its EPC's hash window."""
-
-    mask: str
-
-    @property
-    def length(self) -> int:
-        return len(self.mask)
-
-    @property
-    def bit_cost(self) -> int:
-        return SELECT_FIXED_BITS + self.length
-
-
-def _masks(tau: int, width: int) -> list[str]:
-    """The filters' masks, i.e. each filter without its trailing stars.
+def selgen_commands(tau: int, width: int) -> list[str]:
+    """The Select commands' masks, i.e. each filter without its trailing stars.
 
     Scans tau's bits from the most significant end: every 1-bit yields the
     mask "prefix 0", covering all values that first fall below tau there.
@@ -71,7 +55,7 @@ def _masks(tau: int, width: int) -> list[str]:
 
 def selgen_filters(tau: int, width: int) -> list[str]:
     """Prefix filters over {0,1,*} jointly matching the values 0..tau."""
-    return [m.ljust(width, "*") for m in _masks(tau, width)]
+    return [m.ljust(width, "*") for m in selgen_commands(tau, width)]
 
 
 def command_count(tau: int, width: int) -> int:
@@ -86,13 +70,9 @@ def command_count(tau: int, width: int) -> int:
     return (tau >> (~tau & (tau + 1)).bit_length()).bit_count() + 1
 
 
-def selgen_commands(tau: int, width: int) -> list[SelectCommand]:
-    """Select commands for the filters; stars become a shorter compare length."""
-    return [SelectCommand(mask=m) for m in _masks(tau, width)]
-
-
-def commands_bit_cost(cmds: list[SelectCommand]) -> int:
-    return sum(c.bit_cost for c in cmds)
+def commands_bit_cost(masks: list[str]) -> int:
+    """Air-time of the Select commands with these masks, in bits."""
+    return sum(SELECT_FIXED_BITS + len(m) for m in masks)
 
 
 def best_threshold(sorted_values: list[int], c: int, width: int) -> int:
@@ -129,13 +109,9 @@ class ImplRoundResult(ReadyTags):
     refine_redraws: int
     tau_coarse: int
     tau_refine: int
-    commands: list[SelectCommand]
+    commands: list[str]  # the Select commands' masks, coarse stage first
     pool: tuple[np.ndarray, np.ndarray] = field(repr=False)  # coarse survivors' halves
     positions: np.ndarray  # the Ready tags' rows of the pool, in reporting order
-
-    @property
-    def command_count(self) -> int:
-        return len(self.commands)
 
     @property
     def bits(self) -> int:
@@ -146,16 +122,6 @@ def scaled_coarse_threshold(n: int, c: int, width: int) -> int:
     """Map the mod-n threshold c + 3*sqrt(c) onto the raw L-bit hash range."""
     tau = math.ceil(selection_threshold(c) * (1 << width) / n)
     return min(tau, (1 << width) - 1)
-
-
-def _relabel(seed: SeedSpec) -> SeedSpec:
-    """Draw i of `seed_windows` under the label optc-impl has always used.
-
-    Relabelling a uniform draw keeps it uniform; this one only keeps the
-    optc-impl transcripts of earlier versions byte-identical."""
-    m = ID_BITS - seed.length + 1
-    # start 1 + (i + 80) mod m when m > 80, else 1 + i
-    return seed_spec(1 + (seed.start + 79) % m, seed.length) if m > 80 else seed
 
 
 def run_impl_category(
@@ -180,8 +146,7 @@ def run_impl_category(
     L1 = max(1, math.ceil(math.log2(n)))
     tau1 = scaled_coarse_threshold(n, c, L1)
     below = np.uint64(tau1)
-    for redraws1, seed in enumerate(seed_windows(L1, rng), start=1):
-        coarse_seed = _relabel(seed)
+    for redraws1, coarse_seed in enumerate(seed_windows(L1, rng), start=1):
         mask = substring_values(hi, lo, coarse_seed) <= below
         if suitable_from_count(int(np.count_nonzero(mask)), c):
             break
@@ -193,8 +158,7 @@ def run_impl_category(
     s_hi, s_lo = hi[mask], lo[mask]
     l = len(s_hi)
     L2 = max(1, math.ceil(math.log2(l * l))) if l > 1 else 1
-    for redraws2, seed in enumerate(seed_windows(L2, rng), start=1):
-        refine_seed = _relabel(seed)
+    for redraws2, refine_seed in enumerate(seed_windows(L2, rng), start=1):
         vals = substring_values(s_hi, s_lo, refine_seed)
         # one stable sort: its first c rows are the picked tags in hash
         # order, and the c + 1 smallest values decide the draw

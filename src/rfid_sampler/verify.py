@@ -16,6 +16,8 @@ from .protocol import optc1_round, optc2_round
 from .selgen import command_count, selgen_filters
 
 SUITES = ("seeds", "uniformity", "exactness", "cost", "selgen", "monotone", "all")
+SELGEN_MAX_WIDTH = 12  # suite_selgen checks every threshold of every width up to this
+MONOTONE_LIMIT = 10_000  # suite_monotone checks c = 1..this
 
 
 @dataclass
@@ -138,10 +140,10 @@ def _filter_interval(filt: str) -> tuple[int, int]:
     return prefix << stars, ((prefix + 1) << stars) - 1
 
 
-def suite_selgen(max_width: int = 12) -> list[Check]:
+def suite_selgen() -> list[Check]:
     """Exhaustive filter-generation oracle for every threshold up to 2^12."""
     bad = []
-    for width in range(1, max_width + 1):
+    for width in range(1, SELGEN_MAX_WIDTH + 1):
         for tau in range(1 << width):
             filters = selgen_filters(tau, width)
             intervals = sorted(_filter_interval(f) for f in filters)
@@ -154,21 +156,22 @@ def suite_selgen(max_width: int = 12) -> list[Check]:
                 bad.append((width, tau))
     return [Check(
         "selgen/exhaustive", not bad,
-        f"{len(bad)} failing (width, tau) pairs up to width {max_width}"
+        f"{len(bad)} failing (width, tau) pairs up to width {SELGEN_MAX_WIDTH}"
         + (f", first {bad[0]}" if bad else ""))]
 
 
-def suite_monotone(limit: int = 10_000) -> list[Check]:
+def suite_monotone() -> list[Check]:
     """mu and rho strictly decrease in c and leave the per-seed success
     probability above 0.4 everywhere."""
-    mus = [mu(c) for c in range(1, limit + 1)]
-    rhos = [rho(c) for c in range(1, limit + 1)]
+    cs = range(1, MONOTONE_LIMIT + 1)
+    mus = [mu(c) for c in cs]
+    rhos = [rho(c) for c in cs]
     mu_ok = all(b < a for a, b in zip(mus, mus[1:]))
     rho_ok = all(b < a for a, b in zip(rhos, rhos[1:]))
-    floor = min(seed_success_lower_bound(c) for c in range(1, limit + 1))
+    floor = min(seed_success_lower_bound(c) for c in cs)
     return [
-        Check("monotone/mu", mu_ok, f"mu strictly decreasing on 1..{limit}"),
-        Check("monotone/rho", rho_ok, f"rho strictly decreasing on 1..{limit}"),
+        Check("monotone/mu", mu_ok, f"mu strictly decreasing on 1..{MONOTONE_LIMIT}"),
+        Check("monotone/rho", rho_ok, f"rho strictly decreasing on 1..{MONOTONE_LIMIT}"),
         Check("monotone/success-floor", floor > 0.4,
               f"min lower bound on per-seed success {floor:.4f} (need > 0.4)"),
     ]

@@ -107,13 +107,13 @@ def test_criterion_5_near_optimality():
 
 
 def test_criterion_6_selgen_oracle():
-    checks = suite_selgen(max_width=12)
+    checks = suite_selgen()
     _assert_checks("criterion 6 (filter generation, exhaustive to 12 bits)", checks)
 
 
 def test_criterion_7_closed_form_anchors():
     # mu and rho strictly decreasing on 1..10^4: the monotone suite
-    monotone = suite_monotone(limit=10_000)
+    monotone = suite_monotone()
     checks = [(c.name, c.passed) for c in monotone]
     checks.append(("mu(1)", abs(mu(1) - 0.3996) <= 1e-4))
     checks.append(("rho(1)", abs(rho(1) - 0.1991) <= 1e-4))
@@ -137,7 +137,7 @@ def test_criterion_8_command_budget():
                     list(zip(point.ns, point.cs)), int(rng.integers(0, 2**63))
                 )
                 results = run_optc_impl(pop, rng)
-                commands = sum(r.command_count for r in results)
+                commands = sum(len(r.commands) for r in results)
                 bits = sum(r.bits for r in results)
                 if commands > budget:
                     budget_violations += 1

@@ -1,4 +1,5 @@
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,6 +63,13 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_config(_write(tmp_path, "[x]\nK = 2\nn = 5\nc = 9\n"))
 
+    @pytest.mark.parametrize("K,n", [(1_048_577, 1), (2, 600_000)], ids=["K", "sum-n"])
+    def test_population_over_the_cap_rejected(self, tmp_path, K, n):
+        # rejected while loading, before any schedule of K entries is built
+        # or any population is drawn
+        with pytest.raises(ConfigurationError, match=r"exceeds desk scale 2\^20"):
+            load_config(_write(tmp_path, f"[x]\nK = {K}\nn = {n}\nc = 1\n"))
+
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig("x", K=1, ns=[5], cs=[2], protocols=("teleport",))
@@ -79,8 +87,8 @@ class TestResults:
         out1, out2 = str(tmp_path / "a.csv"), str(tmp_path / "b.csv")
         run_scenarios(config, out1)
         run_scenarios(config, out2)
-        text1 = open(out1).read()
-        assert text1 == open(out2).read()
+        text1 = Path(out1).read_text()
+        assert text1 == Path(out2).read_text()
         header = text1.splitlines()[0]
         assert header == ",".join(CSV_COLUMNS)
         # 2 trials x 2 protocols data rows
@@ -127,7 +135,7 @@ class TestCli:
         config = _write(tmp_path, GOOD_CONFIG)
         out = str(tmp_path / "rows.csv")
         assert main(["simulate", "--config", config, "--out", out]) == 0
-        assert open(out).read().startswith(",".join(CSV_COLUMNS))
+        assert Path(out).read_text().startswith(",".join(CSV_COLUMNS))
 
     def test_env_seed_changes_rows(self, tmp_path, monkeypatch):
         config = _write(tmp_path, GOOD_CONFIG)
@@ -135,7 +143,7 @@ class TestCli:
         main(["simulate", "--config", config, "--out", out1])
         monkeypatch.setenv("RFID_SAMPLER_SEED", "31337")
         main(["simulate", "--config", config, "--out", out2])
-        assert open(out1).read() != open(out2).read()
+        assert Path(out1).read_text() != Path(out2).read_text()
 
     def test_negative_env_seed_exits_2(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("RFID_SAMPLER_SEED", "-3")
@@ -225,6 +233,8 @@ class TestCli:
         pytest.param(None, ["bounds", "--k", "100", "--c", "abc"], None, id="bounds-c-abc"),
         pytest.param(None, ["bounds", "--k", "0", "--c", "10"], None, id="bounds-k-0"),
         pytest.param(None, ["bounds", "--k", "100", "--c", "0"], None, id="bounds-c-0"),
+        pytest.param(None, ["bounds", "--k", "1048577", "--c", "1"], None,
+                     id="bounds-k-over-cap"),
         pytest.param(None, ["reliability", "--alpha", "1.5", "--epsilon", "0.01"], None,
                      id="alpha-1.5"),
         pytest.param(None, ["reliability", "--alpha", "0.1:0.2", "--epsilon", "0.01"], None,

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfid_sampler import SeedSpec, find_suitable_seed
+from rfid_sampler import SeedSpec, find_suitable_seed, hashing
+from rfid_sampler.errors import ProtocolError
 from rfid_sampler.hashing import (
     mod_hash_width,
     seed_spec,
@@ -16,7 +17,6 @@ from rfid_sampler.hashing import (
     suitable_from_count,
     suitable_upper,
 )
-from rfid_sampler.selgen import _relabel
 from tag_oracle import hash_mod, substring_hash
 
 
@@ -130,20 +130,24 @@ def test_threshold_values():
 
 
 def test_seed_windows_follow_the_permutation():
-    # draw i of rng.permutation(97 - L) is the window starting at i + 1,
-    # and every window comes up exactly once
-    for L in (1, 4, 16, 17, 48, 96):
-        m = 97 - L
+    # draw i of rng.permutation(97 - L) is the window starting at i + 1
+    # whenever no start reaches bit 81 (every OPT-C width, L >= 17), and
+    # for every L each window comes up exactly once
+    for L in (17, 23, 48, 96):
         draws = list(seed_windows(L, np.random.default_rng(L)))
-        perm = np.random.default_rng(L).permutation(m).tolist()
+        perm = np.random.default_rng(L).permutation(97 - L).tolist()
         assert [s.start for s in draws] == [i + 1 for i in perm]
+    for L in (1, 4, 16, 17, 48, 96):
+        draws = list(seed_windows(L, np.random.default_rng(L)))
+        assert sorted(s.start for s in draws) == list(range(1, 97 - L + 1))
         assert {s.length for s in draws} == {L}
 
 
 def test_selgen_relabel_keeps_the_cots_first_order():
     # optc-impl once drew i from rng.permutation(m) and used start
-    # starts[i], with starts listing 81..m first and then 1..80; the
-    # relabelling of seed_windows' draw i must give that same start
+    # starts[i], with starts listing 81..m first and then 1..80; that
+    # relabelling now lives in seed_windows, whose draw i must give that
+    # same start for every L
     def cots_first_starts(L):
         full = list(range(1, 97 - L + 1))
         return full[80:] + full[:80]
@@ -152,9 +156,11 @@ def test_selgen_relabel_keeps_the_cots_first_order():
     assert cots_first_starts(16) == [81] + list(range(1, 81))
     assert cots_first_starts(17) == list(range(1, 81))
     for L in range(1, 97):
-        relabelled = [_relabel(SeedSpec(i + 1, L)) for i in range(97 - L)]
-        assert [s.start for s in relabelled] == cots_first_starts(L)
-        assert {s.length for s in relabelled} == {L}
+        starts = cots_first_starts(L)
+        draws = list(seed_windows(L, np.random.default_rng(L)))
+        perm = np.random.default_rng(L).permutation(97 - L).tolist()
+        assert [s.start for s in draws] == [starts[i] for i in perm]
+        assert {s.length for s in draws} == {L}
 
 
 def test_mod_hash_width_padding():
@@ -187,3 +193,12 @@ def test_seed_trial_statistics_shape():
     assert stats["most_tests"] >= 1
     assert stats["avg_tests"] >= 1.0
     assert 0.0 <= stats["suitable_fraction"] <= 1.0
+
+
+def test_seed_trial_statistics_exhaustion_raises(monkeypatch):
+    # all-zero IDs hash to 0 in every window, so all 100 tags pass and none
+    # of the 97 - 23 windows of mod_hash_width(100) = 23 bits suits c = 1
+    zeros = lambda n, rng: (np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64))
+    monkeypatch.setattr(hashing, "random_ids", zeros)
+    with pytest.raises(ProtocolError, match=r"no suitable seed for n=100, c=1 after 74 tests"):
+        seed_trial_statistics(n=100, c=1, trials=1, rng_seed=0)
