@@ -28,7 +28,7 @@ from .harness import (
     reliability_report,
 )
 from .population import (
-    CategorySpec,
+    Category,
     Population,
     Tag,
     category_tags,

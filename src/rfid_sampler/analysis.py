@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import math
 
+from .population import check_categories
+
 LOG2_E = math.log2(math.e)
 
 # 96 bits at 26.7 kbps plus one 302 us inter-transmission gap; the
@@ -25,20 +27,18 @@ def transmission_time(bits: float) -> float:
 def lower_bound_bits(cs) -> float:
     """Information-theoretic floor: any protocol solving the sampling
     problem must broadcast at least sum_k log2(e) * c_k bits."""
-    _check_counts(cs)
+    if not len(cs):
+        raise ValueError("need at least one category")
+    _check_c(min(cs))
     return LOG2_E * float(sum(cs))
 
 
 def expected_protocol_bits(ns, cs) -> float:
     """Expected broadcast cost of the two-stage protocol:
     e*c_k frame bits plus the seed and count headers, summed over categories."""
-    if len(ns) != len(cs):
-        raise ValueError(f"got {len(ns)} sizes but {len(cs)} sample counts")
-    _check_counts(cs)
+    ns, cs = check_categories(ns, cs)
     total = 0.0
-    for n, c in zip(ns, cs):
-        if not 1 <= c <= n:
-            raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
+    for n, c in zip(ns.tolist(), cs.tolist()):
         log_n = max(1.0, math.log2(n))
         total += math.e * c + math.log2(96.0 / log_n) + math.log2(c)
     return total
@@ -114,10 +114,3 @@ def success_probability_approx(alpha: float, c: int) -> float:
 def _check_c(c: int):
     if c < 1:
         raise ValueError(f"c must be >= 1, got {c}")
-
-
-def _check_counts(cs):
-    if not len(cs):
-        raise ValueError("need at least one category")
-    for c in cs:
-        _check_c(c)

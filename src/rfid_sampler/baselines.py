@@ -24,12 +24,11 @@ def run_random_select(
     """Pick each sample with its own Select command matching the full 96-bit
     ID: c_k commands of 96-bit masks per category, no hashing involved."""
     reports = []
-    for spec in population.categories:
-        picks = rng.choice(spec.n, size=spec.c, replace=False)
-        bits = spec.c * (SELECT_FIXED_BITS + ID_BITS)
+    for cat in population.categories:
+        picks = rng.choice(cat.n, size=cat.c, replace=False)
+        bits = cat.c * (SELECT_FIXED_BITS + ID_BITS)
         reports.append(
-            BaselineReport(commands=spec.c, bits=bits,
-                           pool=population.halves(spec.k), positions=picks)
+            BaselineReport(commands=cat.c, bits=bits, pool=(cat.hi, cat.lo), positions=picks)
         )
     return reports
 

@@ -22,7 +22,7 @@ from .analysis import (
 )
 from .baselines import run_random_select
 from .errors import ConfigurationError
-from .population import check_population_cap, generate_population
+from .population import check_categories, check_population_cap, generate_population
 from .protocol import run_optc
 from .selgen import run_optc_impl
 
@@ -46,8 +46,6 @@ class ScenarioConfig:
     protocols: tuple[str, ...] = ("optc",)
 
     def __post_init__(self):
-        if self.K < 1:
-            raise ConfigurationError(f"{self.scenario_id}: K must be >= 1")
         if self.trials < 1:
             raise ConfigurationError(f"{self.scenario_id}: trials must be >= 1")
         if self.rng_seed < 0:
@@ -58,13 +56,10 @@ class ScenarioConfig:
             raise ConfigurationError(
                 f"{self.scenario_id}: schedules must expand to length K={self.K}"
             )
-        for k, (n, c) in enumerate(zip(self.ns, self.cs), start=1):
-            if not 1 <= c <= n:
-                raise ConfigurationError(
-                    f"{self.scenario_id}: category {k} needs 1 <= c <= n, "
-                    f"got c={c}, n={n}"
-                )
-        check_population_cap(sum(self.ns))
+        try:
+            check_categories(self.ns, self.cs)
+        except ConfigurationError as exc:
+            raise ConfigurationError(f"{self.scenario_id}: {exc}") from None
         if not self.protocols:
             raise ConfigurationError(f"{self.scenario_id}: no protocols listed")
         if len(set(self.protocols)) != len(self.protocols):
@@ -259,8 +254,6 @@ def run_scenarios(config_path: str, out_path: str, seed_override: int | None = N
 def bounds_report(K: int, cs, ns=None) -> dict:
     """The lower bound and the expected protocol cost of one configuration,
     in bits; `cs`/`ns` may be single ints (replicated) or K-length lists."""
-    if K < 1:
-        raise ConfigurationError(f"need K >= 1 categories, got {K}")
     check_population_cap(K)
     cs = [cs] * K if isinstance(cs, int) else list(cs)
     if len(cs) != K:
@@ -270,9 +263,7 @@ def bounds_report(K: int, cs, ns=None) -> dict:
     ns = [ns] * K if isinstance(ns, int) else list(ns)
     if len(ns) != K:
         raise ConfigurationError(f"need K={K} sizes, got {len(ns)}")
-    for n, c in zip(ns, cs):
-        if not 1 <= c <= n:
-            raise ConfigurationError(f"need 1 <= c <= n, got c={c}, n={n}")
+    check_categories(ns, cs)
     gamma = lower_bound_bits(cs)
     expected = expected_protocol_bits(ns, cs)
     return {

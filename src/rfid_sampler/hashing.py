@@ -68,7 +68,7 @@ def suitable_upper(c: int) -> float:
 def ids_to_halves(ids) -> tuple[np.ndarray, np.ndarray]:
     """Split python-int IDs into (high 48 bits, low 48 bits) uint64 arrays.
 
-    No package code calls it; `benchmarks/spans.py` still wraps this name."""
+    Kept only because `benchmarks/spans.py` wraps this name; no package code calls it."""
     hi = np.fromiter((i >> _HALF_BITS for i in ids), dtype=np.uint64, count=len(ids))
     lo = np.fromiter((i & ((1 << _HALF_BITS) - 1) for i in ids), np.uint64, len(ids))
     return hi, lo

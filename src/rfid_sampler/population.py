@@ -4,19 +4,21 @@ Tags carry 96-bit IDs whose bits are drawn independently and uniformly at
 random, so any substring window is usable as a hash source.  IDs are unique
 within a population (collisions are resolved by redraw).
 
-A population is stored as arrays: each ID as its high and low 48-bit halves,
-categories contiguous and in draw order inside each, with CSR offsets
-marking where each category starts.  OPT-C and optc-impl depend only on a
-category's set of IDs, and random-select picks uniformly random rows, so no
-protocol relies on that order.  The protocol stages work on these
-arrays and keep no per-tag state, so every run starts from reset;
-`category_tags` lists a category's IDs as `Tag` records.
+A population is four arrays (hi, lo, offsets, cs): each ID as its high and
+low 48-bit halves, categories contiguous and in draw order inside each, CSR
+offsets marking where each category starts, and each category's sample
+count.  OPT-C and optc-impl depend only on a category's set of IDs, and
+random-select picks uniformly random rows, so no protocol relies on that
+order.  The stages keep no per-tag state, so every run starts from reset;
+they read each category through the `Population.categories` view.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,41 +31,42 @@ _MAX_POPULATION = 1 << 20
 
 @dataclass(slots=True)
 class Tag:
-    """One tag, by its 96-bit ID."""
+    """One tag, by its 96-bit ID.  Kept only because `benchmarks/spans.py`
+    reads the IDs of `category_tags` as `.id`."""
 
     id: int
 
 
-@dataclass(frozen=True)
-class CategorySpec:
-    """Category index k, size n and reliability number c (tags to sample)."""
+class Category(NamedTuple):
+    """Category k: size n, sample count c and its ID halves (views, in draw order)."""
 
     k: int
     n: int
     c: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ConfigurationError(f"category {self.k}: size must be >= 1, got {self.n}")
-        if not 1 <= self.c <= self.n:
-            raise ConfigurationError(
-                f"category {self.k}: need 1 <= c <= n, got c={self.c}, n={self.n}"
-            )
+    hi: np.ndarray
+    lo: np.ndarray
 
 
 @dataclass
 class Population:
     """Categories 1..K in order; category k holds the IDs
-    hi/lo[offsets[k-1]:offsets[k]], in draw order."""
+    hi/lo[offsets[k-1]:offsets[k]], in draw order, and samples cs[k-1] of
+    them.  `categories` lists them as `Category` views, built on first read."""
 
-    categories: list[CategorySpec]
     hi: np.ndarray
     lo: np.ndarray
     offsets: np.ndarray
+    cs: np.ndarray
+
+    @cached_property
+    def categories(self) -> list[Category]:
+        bounds = self.offsets.tolist()
+        return [Category(k, b - a, c, self.hi[a:b], self.lo[a:b]) for k, a, b, c in
+                zip(range(1, len(bounds)), bounds, bounds[1:], self.cs.tolist())]
 
     def halves(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(hi, lo) ID halves of category k, in draw order (views, not copies)."""
-        if not 1 <= k <= len(self.categories):
+        if not 1 <= k <= len(self.cs):
             raise KeyError(f"no category {k}")
         a, b = self.offsets[k - 1], self.offsets[k]
         return self.hi[a:b], self.lo[a:b]
@@ -124,25 +127,41 @@ def check_population_cap(tags: int) -> None:
         raise ConfigurationError(f"population of {tags} tags exceeds desk scale 2^20")
 
 
+def check_categories(ns, cs) -> tuple[np.ndarray, np.ndarray]:
+    """The one check of a category list (sizes ns, sample counts cs), returned
+    as int64 arrays: K >= 1, 1 <= c_k <= n_k and at most 2^20 tags.  A size or
+    count that is not an integer raises TypeError; it is never truncated."""
+    try:
+        ns, cs = (np.fromiter(map(operator.index, v), np.int64) for v in (ns, cs))
+    except OverflowError:
+        raise ConfigurationError("category sizes and sample counts must fit in 64 bits") from None
+    if len(ns) != len(cs):
+        raise ConfigurationError(f"got {len(ns)} sizes but {len(cs)} sample counts")
+    if not len(ns):
+        raise ConfigurationError("need at least one category")
+    bad = np.flatnonzero((cs < 1) | (cs > ns))
+    if len(bad):
+        k = bad[0]
+        raise ConfigurationError(f"category {k + 1}: need 1 <= c <= n, got c={cs[k]}, n={ns[k]}")
+    check_population_cap(sum(ns.tolist()))  # a Python sum, which cannot wrap
+    return ns, cs
+
+
 def generate_population(
     category_sizes: list[tuple[int, int]], rng_seed: int
 ) -> Population:
     """Build a population from (n_k, c_k) pairs; deterministic in rng_seed.
     The first n_1 IDs drawn go to category 1, the next n_2 to category 2, ..."""
-    if not category_sizes:
-        raise ConfigurationError("need at least one category")
-    total = sum(n for n, _ in category_sizes)
-    check_population_cap(total)
-    specs = [CategorySpec(k, n, c) for k, (n, c) in enumerate(category_sizes, start=1)]
-    sizes = np.array([s.n for s in specs], dtype=np.int64)
+    ns, cs = check_categories([n for n, _ in category_sizes], [c for _, c in category_sizes])
+    offsets = np.zeros(len(ns) + 1, dtype=np.int64)
+    np.cumsum(ns, out=offsets[1:])
 
     rng = np.random.default_rng(np.random.SeedSequence(rng_seed))
-    hi, lo = random_ids(total, rng)
-    offsets = np.zeros(len(specs) + 1, dtype=np.int64)
-    np.cumsum(sizes, out=offsets[1:])
-    return Population(categories=specs, hi=hi, lo=lo, offsets=offsets)
+    hi, lo = random_ids(int(offsets[-1]), rng)
+    return Population(hi, lo, offsets, cs)
 
 
 def category_tags(population: Population, k: int) -> list[Tag]:
-    """The tags of category k, in draw order."""
+    """The tags of category k, in draw order.  Kept only because
+    `benchmarks/spans.py` wraps this name and reads its IDs."""
     return [Tag(id=i) for i in halves_to_ids(*population.halves(k))]

@@ -228,14 +228,11 @@ def run_optc(
     """Full protocol: K coarse rounds, then K refinement rounds.  Returns the
     refinement outcomes, each with its own stage's bits, and the ledger of
     the whole run: every stage's bits_sent and the frame bits, summed."""
-    halves = [population.halves(spec.k) for spec in population.categories]
-    coarse = [
-        optc1_round(hi, lo, spec.c, rng)
-        for spec, (hi, lo) in zip(population.categories, halves)
-    ]
+    categories = population.categories
+    coarse = [optc1_round(cat.hi, cat.lo, cat.c, rng) for cat in categories]
     outcomes = [
-        optc2_round((hi[first.positions], lo[first.positions]), spec.c)
-        for spec, (hi, lo), first in zip(population.categories, halves, coarse)
+        optc2_round((cat.hi[first.positions], cat.lo[first.positions]), cat.c)
+        for cat, first in zip(categories, coarse)
     ]
     ledger = CostLedger(
         bits_reader_to_tag=sum(out.bits_sent for out in coarse + outcomes),

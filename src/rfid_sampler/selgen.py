@@ -195,8 +195,7 @@ def run_optc_impl(
 ) -> list[ImplRoundResult]:
     """The Select-command realization over every category in turn."""
     return [
-        run_impl_category(*population.halves(spec.k), spec.c, rng)
-        for spec in population.categories
+        run_impl_category(cat.hi, cat.lo, cat.c, rng) for cat in population.categories
     ]
 
 

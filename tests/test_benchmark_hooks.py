@@ -39,6 +39,27 @@ def test_run_optc_takes_the_population_first():
     assert next(iter(inspect.signature(run_optc).parameters)) == "population"
 
 
+def test_generate_population_feeds_the_population_hook():
+    # the tracer's generate_population hook sums n over argument 0, read
+    # by position or as category_sizes, into population.tags_generated
+    from rfid_sampler import population
+
+    assert next(iter(inspect.signature(population.generate_population).parameters)) == (
+        "category_sizes"
+    )
+    spans = _spans()
+    sizes = [(30, 4), (1, 1), (200, 25)]
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    try:
+        population.generate_population(sizes, rng_seed=5)
+        population.generate_population(category_sizes=sizes, rng_seed=5)
+    finally:
+        tracer.unwrap_all()
+    assert tracer.hook_errors == []
+    assert tracer.count["population.tags_generated"] == 2 * sum(n for n, _ in sizes)
+
+
 def test_category_tags_ids_match_the_population_halves():
     # spans.check_optc_outcomes checks sampled IDs against
     # {t.id for t in category_tags(...)}; it must be the category's IDs

@@ -63,6 +63,10 @@ class TestConfig:
         with pytest.raises(ConfigurationError):
             load_config(_write(tmp_path, "[x]\nK = 2\nn = 5\nc = 9\n"))
 
+    def test_bad_category_error_names_section_and_category(self, tmp_path):
+        with pytest.raises(ConfigurationError, match=r"^x: category 2: need 1 <= c <= n"):
+            load_config(_write(tmp_path, "[x]\nK = 2\nn = 20,5\nc = 9\n"))
+
     @pytest.mark.parametrize("K,n", [(1_048_577, 1), (2, 600_000)], ids=["K", "sum-n"])
     def test_population_over_the_cap_rejected(self, tmp_path, K, n):
         # rejected while loading, before any schedule of K entries is built
@@ -253,6 +257,12 @@ class TestCli:
         pytest.param(GOOD_CONFIG.replace("K = 3\n", ""), None, None, id="K-missing"),
         pytest.param("# no sections\n", None, None, id="no-sections"),
         pytest.param(None, ["bounds", "--k", "3", "--c", "1,2"], None, id="bounds-c-too-short"),
+        pytest.param(None, ["bounds", "--k", "3", "--c", "5", "--n", "4"], None,
+                     id="bounds-c-above-n"),
+        pytest.param(None, ["bounds", "--k", "2", "--c", "1", "--n", "0"], None, id="bounds-n-0"),
+        pytest.param(GOOD_CONFIG.replace("n = 20", "n = 20,0"), None, None, id="n-0"),
+        pytest.param(GOOD_CONFIG.replace("n = 20", "n = 99999999999999999999"), None, None,
+                     id="n-past-int64"),
         pytest.param(GOOD_CONFIG, None, "abc", id="env-seed-abc"),
         pytest.param(None, ["selgen", "--tau", "0", "--bits", "97"], None,
                      id="selgen-bits-past-id"),

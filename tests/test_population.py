@@ -3,7 +3,9 @@ import pytest
 
 from rfid_sampler import ConfigurationError, category_tags, generate_population
 from rfid_sampler.baselines import run_random_select
-from rfid_sampler.population import Population, _first_occurrences, halves_to_ids, random_ids
+from rfid_sampler.population import (
+    Population, _first_occurrences, check_categories, halves_to_ids, random_ids,
+)
 from rfid_sampler.protocol import optc1_round, optc2_round
 from rfid_sampler.selgen import run_optc_impl
 
@@ -12,10 +14,17 @@ def test_sizes_and_partition():
     pop = generate_population([(10, 3), (25, 5)], rng_seed=1)
     assert [s.n for s in pop.categories] == [10, 25]
     assert [s.c for s in pop.categories] == [3, 5]
+    assert pop.cs.tolist() == [3, 5] and np.diff(pop.offsets).tolist() == [10, 25]
     assert len(category_tags(pop, 1)) == 10
     assert len(category_tags(pop, 2)) == 25
     assert pop.offsets.tolist() == [0, 10, 35]
     assert len(pop.hi) == len(pop.lo) == 35
+    # each category's halves are views of the population's arrays
+    for cat in pop.categories:
+        hi, lo = pop.halves(cat.k)
+        assert np.shares_memory(cat.hi, pop.hi) and np.shares_memory(cat.lo, pop.lo)
+        assert np.array_equal(cat.hi, hi) and np.array_equal(cat.lo, lo)
+    assert pop.categories is pop.categories
 
 
 def test_ids_unique_and_96_bit():
@@ -42,10 +51,25 @@ def test_unknown_category_raises():
             category_tags(pop, k)
 
 
-@pytest.mark.parametrize("sizes", [[(3, 4)], [(0, 0)], []])
+@pytest.mark.parametrize("sizes", [[(3, 4)], [(0, 0)], [], [(2.5, 1)], [(5, 1.5)], [("5", 2)]])
 def test_invalid_specs_rejected(sizes):
-    with pytest.raises(ConfigurationError):
+    # a size or count that is not an integer is rejected, never truncated
+    with pytest.raises((ConfigurationError, TypeError)):
         generate_population(sizes, rng_seed=0)
+
+
+def test_check_categories_names_the_first_bad_category():
+    # the vectorised check names the category the per-category loop stops at
+    rng = np.random.default_rng(11)
+    for _ in range(300):
+        K = int(rng.integers(1, 6))
+        ns, cs = rng.integers(-1, 4, size=(2, K)).tolist()
+        bad = [k for k, (n, c) in enumerate(zip(ns, cs), start=1) if not 1 <= c <= n]
+        if bad:
+            with pytest.raises(ConfigurationError, match=rf"^category {bad[0]}: need 1 <= c <= n"):
+                check_categories(ns, cs)
+        else:
+            assert [a.tolist() for a in check_categories(ns, cs)] == [ns, cs]
 
 
 def _reference_ids(n, rng):
@@ -129,6 +153,19 @@ def test_desk_scale_cap():
         generate_population([(1 << 19, 1), ((1 << 19) + 1, 5)], rng_seed=4)
 
 
+def test_desk_scale_cap_in_one_tag_categories():
+    # the categories view is not read here: 2^20 views of one tag each
+    # take seconds and hundreds of MB to build, and the arrays say the same
+    sizes = [(1, 1)] * (1 << 20)
+    pop = generate_population(sizes, rng_seed=4)
+    assert len(pop.cs) == 1 << 20 and not (pop.cs != 1).any()
+    assert np.array_equal(pop.offsets, np.arange((1 << 20) + 1))
+    assert [len(h) for h in pop.halves(1 << 20)] == [1, 1]
+    sizes[-1] = (1, 2)
+    with pytest.raises(ConfigurationError, match=r"category 1048576: need 1 <= c <= n"):
+        generate_population(sizes, rng_seed=4)
+
+
 def _first_occurrences_by_loop(hi, lo):
     """The first occurrence seen of every (hi, lo) pair, one pair at a time."""
     seen = set()
@@ -161,7 +198,7 @@ def _shuffled(pop):
         a + np.random.default_rng(99).permutation(b - a)
         for a, b in zip(pop.offsets[:-1].tolist(), pop.offsets[1:].tolist())
     ])
-    return Population(pop.categories, pop.hi[order], pop.lo[order], pop.offsets)
+    return Population(pop.hi[order], pop.lo[order], pop.offsets, pop.cs)
 
 
 def _sample_all(pop, seed):
