@@ -12,7 +12,6 @@ from .selgen import SELECT_FIXED_BITS
 
 @dataclass
 class BaselineReport(ReadyTags):
-    commands: int
     bits: int
     pool: tuple[np.ndarray, np.ndarray] = field(repr=False)  # category ID halves
     positions: np.ndarray  # the picked tags' rows, in reporting order
@@ -27,9 +26,7 @@ def run_random_select(
     for cat in population.categories:
         picks = rng.choice(cat.n, size=cat.c, replace=False)
         bits = cat.c * (SELECT_FIXED_BITS + ID_BITS)
-        reports.append(
-            BaselineReport(commands=cat.c, bits=bits, pool=(cat.hi, cat.lo), positions=picks)
-        )
+        reports.append(BaselineReport(bits=bits, pool=(cat.hi, cat.lo), positions=picks))
     return reports
 
 

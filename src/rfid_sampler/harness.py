@@ -13,7 +13,7 @@ import configparser
 import csv
 import json
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -26,10 +26,6 @@ from .population import check_categories, check_population_cap, generate_populat
 from .protocol import run_optc
 from .selgen import run_optc_impl
 
-CSV_COLUMNS = [
-    "scenario", "protocol", "trial", "K", "sum_n", "sum_c",
-    "bits", "seconds", "lb_seconds", "ratio",
-]
 PROTOCOLS = ("optc", "optc-impl", "random-select")
 
 
@@ -38,7 +34,6 @@ class ScenarioConfig:
     """One scenario point: K categories with expanded size/sample vectors."""
 
     scenario_id: str
-    K: int
     ns: list[int]
     cs: list[int]
     trials: int = 10
@@ -51,10 +46,6 @@ class ScenarioConfig:
         if self.rng_seed < 0:
             raise ConfigurationError(
                 f"{self.scenario_id}: seed must be >= 0, got {self.rng_seed}"
-            )
-        if len(self.ns) != self.K or len(self.cs) != self.K:
-            raise ConfigurationError(
-                f"{self.scenario_id}: schedules must expand to length K={self.K}"
             )
         try:
             check_categories(self.ns, self.cs)
@@ -69,6 +60,10 @@ class ScenarioConfig:
                 raise ConfigurationError(
                     f"{self.scenario_id}: unknown protocol {p!r}"
                 )
+
+    @property
+    def K(self) -> int:
+        return len(self.ns)
 
 
 def _expand_schedule(raw: str, K: int, key: str, section: str) -> list[int]:
@@ -105,7 +100,6 @@ def _scenario(sec, seed_override: int | None) -> ScenarioConfig:
     )
     return ScenarioConfig(
         scenario_id=sec.name,
-        K=K,
         ns=_expand_schedule(sec["n"], K, "n", sec.name),
         cs=_expand_schedule(sec["c"], K, "c", sec.name),
         trials=_int_key(sec, "trials", fallback=10),
@@ -146,18 +140,11 @@ class ResultRow:
         return self.seconds / self.lb_seconds
 
     def as_record(self) -> dict:
-        return {
-            "scenario": self.scenario,
-            "protocol": self.protocol,
-            "trial": self.trial,
-            "K": self.K,
-            "sum_n": self.sum_n,
-            "sum_c": self.sum_c,
-            "bits": self.bits,
-            "seconds": f"{self.seconds:.9f}",
-            "lb_seconds": f"{self.lb_seconds:.9f}",
-            "ratio": f"{self.ratio:.6f}",
-        }
+        return {**vars(self), "seconds": f"{self.seconds:.9f}",
+                "lb_seconds": f"{self.lb_seconds:.9f}", "ratio": f"{self.ratio:.6f}"}
+
+
+CSV_COLUMNS = [f.name for f in fields(ResultRow)] + ["ratio"]
 
 
 def _trial_rng(root_seed: int, point_index: int, protocol: str, trial: int):

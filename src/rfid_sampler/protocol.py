@@ -26,7 +26,7 @@ is the sum over both stages of every category.
 With the coarse header, a category of n = 100 measures 2.50x the
 log2(e)*c lower bound at c = 10 and 2.03x at c = 50 (frame bits alone:
 1.88x at both); the coarse header is 0.555x at c = 10, which keeps any
-implementation of the design above 2.1x there (closed form 2.381x).
+implementation of the design above 2.1x there (closed form 2.508x).
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ def optc1_round(
 
     positions, stats = find_suitable_seed(hi, lo, c, rng=rng)
     return RoundOutcome(
-        iterations=1,
         bits_sent=optc1_header_bits(n, c),
         seed_tests=stats.tests,
         positions=positions,

@@ -104,7 +104,6 @@ class ImplRoundResult(ReadyTags):
 
     coarse_seed: SeedSpec
     coarse_redraws: int
-    coarse_selected: int
     refine_seed: SeedSpec
     refine_redraws: int
     tau_coarse: int
@@ -177,7 +176,6 @@ def run_impl_category(
     return ImplRoundResult(
         coarse_seed=coarse_seed,
         coarse_redraws=redraws1,
-        coarse_selected=l,
         refine_seed=refine_seed,
         refine_redraws=redraws2,
         tau_coarse=tau1,

@@ -12,7 +12,7 @@ def deployment_shapes(trials: int, seed: int) -> list[list[ScenarioConfig]]:
         [(f"deploy-3-c{c}", [20, 30] * 4, [c] * 8) for c in (2, 4, 6, 8, 10)],
     ]
     return [
-        [ScenarioConfig(sid, K=len(ns), ns=ns, cs=cs, trials=trials, rng_seed=seed,
+        [ScenarioConfig(sid, ns=ns, cs=cs, trials=trials, rng_seed=seed,
                         protocols=("optc-impl", "random-select")) for sid, ns, cs in shape]
         for shape in shapes
     ]

@@ -8,7 +8,7 @@ so the original [1.0, 2.1] band applies (measured: 2.03).  At c = 10, 2.1
 is out of reach for any implementation of the design: the coarse header
 alone (optc1_header_bits(100, 10) = 8 bits) is 0.555x of the lower bound
 and the frame bits average about e*c, so the closed form
-(analysis.expected_protocol_bits) is 2.381x, and a refinement stage with no
+(analysis.expected_protocol_bits) is 2.508x, and a refinement stage with no
 header, no stop bit and frames cut at their last one measures 2.38x.  The
 bound there is (1.15*e*10 + 8 + 1) / (log2(e)*10) = 2.79 (measured: 2.50);
 a refinement stage that paid a header per iteration measures 4.63 and fails.
@@ -80,7 +80,7 @@ def test_criterion_5_near_optimality():
         ratios, payload_ratios = [], []
         for K in range(20, 101, 20):
             point = ScenarioConfig(
-                scenario_id=f"accept5-c{c}-K{K}", K=K, ns=[100] * K,
+                scenario_id=f"accept5-c{c}-K{K}", ns=[100] * K,
                 cs=[c] * K, trials=3, rng_seed=505,
             )
             for trial in range(point.trials):

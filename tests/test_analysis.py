@@ -1,5 +1,7 @@
 import math
+import statistics
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,16 +9,19 @@ from hypothesis import strategies as st
 from rfid_sampler import (
     cost_ratio_limit,
     expected_protocol_bits,
+    generate_population,
     lower_bound_bits,
     mu,
     reliability_number,
     rho,
+    run_optc,
     seed_success_lower_bound,
     success_probability,
     success_probability_approx,
     transmission_time,
 )
 from rfid_sampler.analysis import T96_SECONDS
+from rfid_sampler.protocol import optc1_header_bits
 
 
 class TestTiming:
@@ -49,9 +54,20 @@ class TestLowerBound:
 
     def test_expected_bits_dominated_by_ec(self):
         got = expected_protocol_bits([1000], [100])
-        assert got == pytest.approx(
-            math.e * 100 + math.log2(96 / math.log2(1000)) + math.log2(100)
-        )
+        assert got == pytest.approx(math.e * 100 + optc1_header_bits(1000, 100) + 1)
+
+    @pytest.mark.parametrize("n,c", [(100, 10), (1000, 50)])
+    def test_expected_bits_match_the_ledger(self, n, c):
+        # the closed form charges what run_optc's ledger charges: the mean
+        # over 30 populations of K = 100 categories lands within 1 %
+        K = 100
+        per_category = [
+            run_optc(generate_population([(n, c)] * K, rng_seed=t),
+                     np.random.default_rng(1000 + t))[1].bits_reader_to_tag / K
+            for t in range(30)
+        ]
+        assert statistics.fmean(per_category) == pytest.approx(
+            expected_protocol_bits([n], [c]), rel=0.01)
 
     def test_ratio_decreases_toward_limit(self):
         ratios = [

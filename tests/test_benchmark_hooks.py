@@ -242,3 +242,21 @@ def test_check_optc_outcomes_catches_ready_tags_of_another_category():
     first, second = outcomes[0], outcomes[1]
     first.pool, first.positions = second.pool, second.positions
     assert spans.check_optc_outcomes(tracer) == 1
+
+
+def test_csv_columns_are_the_list_the_benchmark_reads_back(tmp_path):
+    # the benchmark compares the header csv.reader returns, a list, with
+    # harness.CSV_COLUMNS by !=, so a tuple would fail every simulate run
+    import csv
+    from dataclasses import fields
+
+    from rfid_sampler import harness
+
+    rows = harness.run_points([harness.ScenarioConfig("p", ns=[20], cs=[3], trials=1)])
+    out = tmp_path / "rows.csv"
+    harness.write_results(rows, str(out))
+    with open(out, newline="") as fh:
+        header = next(csv.reader(fh))
+    assert isinstance(harness.CSV_COLUMNS, list)
+    assert header == harness.CSV_COLUMNS
+    assert harness.CSV_COLUMNS == [f.name for f in fields(harness.ResultRow)] + ["ratio"]

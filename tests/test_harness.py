@@ -76,7 +76,14 @@ class TestConfig:
 
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
-            ScenarioConfig("x", K=1, ns=[5], cs=[2], protocols=("teleport",))
+            ScenarioConfig("x", ns=[5], cs=[2], protocols=("teleport",))
+
+    def test_k_is_the_schedule_length(self):
+        assert ScenarioConfig("x", ns=[5, 6], cs=[1, 2]).K == 2
+
+    def test_schedules_of_different_length_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"^x: "):
+            ScenarioConfig("x", ns=[5, 6], cs=[1])
 
     def test_seed_override(self, tmp_path):
         path = _write(tmp_path, GOOD_CONFIG)
@@ -100,7 +107,7 @@ class TestResults:
         assert os.path.exists(out1 + ".json")
 
     def test_rows_and_aggregates(self):
-        points = [ScenarioConfig("p", K=2, ns=[20, 20], cs=[3, 3], trials=4, rng_seed=1)]
+        points = [ScenarioConfig("p", ns=[20, 20], cs=[3, 3], trials=4, rng_seed=1)]
         rows = run_points(points)
         assert len(rows) == 4
         for row in rows:
@@ -227,7 +234,12 @@ class TestCli:
 
     def test_bounds_command(self, capsys):
         assert main(["bounds", "--k", "100", "--c", "10"]) == 0
-        assert "ratio=" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "expected=3618.3 bits" in out and "ratio=2.5080" in out
+        # n = 1: a 7-bit header (ceil(log2 96) + ceil(log2 1)), e, the stop bit
+        assert main(["bounds", "--k", "1", "--c", "1", "--n", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "expected=10.7 bits" in out and "ratio=7.4293" in out
 
     @pytest.mark.parametrize("config,argv,env", [
         pytest.param("K = 2\nn = 5\nc = 1\n", None, None, id="no-section-header"),
@@ -251,6 +263,8 @@ class TestCli:
                      id="protocols-repeated"),
         pytest.param(GOOD_CONFIG.replace("seed = 9", "seed = -1"), None, None, id="seed-negative"),
         pytest.param(GOOD_CONFIG.replace("K = 3", "K = 0"), None, None, id="K-0"),
+        pytest.param(GOOD_CONFIG.replace("K = 3", "K = -1"), None, None, id="K-negative"),
+        pytest.param(None, ["bounds", "--k", "-1", "--c", "10"], None, id="bounds-k-negative"),
         pytest.param(GOOD_CONFIG.replace("trials = 2", "trials = 0"), None, None, id="trials-0"),
         pytest.param(GOOD_CONFIG.replace("n = 20", "n = ,"), None, None, id="n-empty"),
         pytest.param(GOOD_CONFIG.replace("n = 20", "n = 5,x"), None, None, id="n-non-integer"),

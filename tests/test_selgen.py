@@ -147,7 +147,7 @@ class TestImplementation:
         assert len(ready) == 6
         assert ready <= {t.id for t in category_tags(pop, 1)}
         assert sorted(o for _, o in res.ready) == list(range(1, 7))
-        assert 6 <= res.coarse_selected <= 6 + 6 * math.sqrt(6)
+        assert 6 <= len(res.pool[0]) <= 6 + 6 * math.sqrt(6)
         assert res.bits == commands_bit_cost(res.commands)
 
     def test_orders_follow_hash_rank(self):
@@ -172,7 +172,6 @@ class TestImplementation:
         for spec, res in zip(pop.categories, run_optc_impl(pop, np.random.default_rng(12))):
             ids = [t.id for t in category_tags(pop, spec.k)]
             pool = [i for i in ids if substring_hash(i, res.coarse_seed) <= res.tau_coarse]
-            assert len(pool) == res.coarse_selected
             assert halves_to_ids(*res.pool) == pool
             assert res.commands == (
                 selgen_commands(res.tau_coarse, res.coarse_seed.length)
