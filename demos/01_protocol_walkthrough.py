@@ -1,4 +1,6 @@
-"""Walk one category through both sampling stages, printing every frame.
+"""Walk one category through both sampling stages, printing each stage's
+totals, the Ready tags by reporting order, and how many selected tags
+were demoted.
 
 The reader wants exactly c random tags out of n, with unique reporting
 orders, while broadcasting as few bits as possible.  Stage one thins the

@@ -11,7 +11,12 @@ import argparse
 import os
 import sys
 
+from .analysis import transmission_time
 from .errors import ConfigurationError, ProtocolError
+from .harness import bounds_report, reliability_report, run_scenarios
+from .population import ID_BITS
+from .selgen import commands_bit_cost, selgen_commands, selgen_filters
+from .verify import SUITES, run_suite
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -62,16 +67,12 @@ def _parse_float_range(raw: str) -> list[float]:
 
 
 def cmd_simulate(args) -> int:
-    from .harness import run_scenarios
-
     run_scenarios(args.config, args.out, seed_override=_env_seed())
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    from .verify import run_suite
-
     checks = run_suite(args.suite, fast=args.fast)
     for check in checks:
         print(check.line())
@@ -81,9 +82,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selgen(args) -> int:
-    from .population import ID_BITS
-    from .selgen import commands_bit_cost, selgen_commands, selgen_filters
-
     if not 1 <= args.bits <= ID_BITS:  # a hash window is a substring of the ID
         raise ConfigurationError(f"need 1 <= bits <= {ID_BITS}, got bits={args.bits}")
     if not 0 <= args.tau < (1 << args.bits):
@@ -102,9 +100,6 @@ def cmd_selgen(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    from .analysis import transmission_time
-    from .harness import bounds_report
-
     row = bounds_report(args.k, _parse_int_list(args.c),
                         _parse_int_list(args.n) if args.n else None)
     print(f"K={row['K']} sum_c={row['sum_c']} "
@@ -117,8 +112,6 @@ def cmd_bounds(args) -> int:
 
 
 def cmd_reliability(args) -> int:
-    from .harness import reliability_report
-
     alphas = _parse_float_range(args.alpha)
     for row in reliability_report(alphas, args.epsilon):
         print(f"alpha={row['alpha']:.3f} epsilon={row['epsilon']:g} "
@@ -139,8 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    from .verify import SUITES
-
     p.add_argument("suite", choices=SUITES)
     p.add_argument("--fast", action="store_true",
                    help="shrink Monte-Carlo grids for a quick smoke run")

@@ -156,7 +156,7 @@ def run_impl_category(
     # stage two: exact selection among the l survivors
     s_hi, s_lo = hi[mask], lo[mask]
     l = len(s_hi)
-    L2 = max(1, math.ceil(math.log2(l * l))) if l > 1 else 1
+    L2 = max(1, math.ceil(math.log2(l * l)))
     for redraws2, refine_seed in enumerate(seed_windows(L2, rng), start=1):
         vals = substring_values(s_hi, s_lo, refine_seed)
         # one stable sort: its first c rows are the picked tags in hash

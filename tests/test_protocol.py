@@ -1,4 +1,5 @@
 import math
+import sys
 from itertools import islice
 
 import numpy as np
@@ -259,6 +260,28 @@ def test_exactness_suite_catches_a_bad_sample(monkeypatch, corrupt):
     [check] = verify.suite_exactness(rounds=5)
     assert calls[0] > 1
     assert check.line() == "[FAIL] exactness/rounds: 1 violations in 5 rounds (need 0)"
+
+
+def test_uniformity_suite_runs_without_scipy_and_catches_a_fixed_pair(monkeypatch):
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.setitem(sys.modules, "scipy.stats", None)
+    assert all(check.passed for check in verify.suite_uniformity(trials=300))
+
+    # every trial returns tags 0 and 1, so chi-square is 14 * trials
+    monkeypatch.setattr(verify, "sample_once", lambda n, c, rng: [(0, 1), (1, 2)])
+    subsets, per_tag = verify.suite_uniformity(trials=300)
+    assert subsets.line() == ("[FAIL] uniformity/subsets: chi-square 4200.00 "
+                              "vs critical 36.12 at significance 1e-3")
+    assert not per_tag.passed
+
+
+def test_chi2_critical_is_the_upper_1e3_point():
+    # chi-square survival for even df: Q(x; df) = e^(-x/2) sum_{i < df/2} (x/2)^i / i!
+    df = math.comb(6, 2) - 1
+    assert df % 2 == 0
+    half = verify.CHI2_CRITICAL / 2
+    survival = math.exp(-half) * sum(half**i / math.factorial(i) for i in range(df // 2))
+    assert abs(survival - 1e-3) < 1e-12
 
 
 def test_run_optc_full_population():
