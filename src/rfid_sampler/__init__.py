@@ -24,8 +24,6 @@ from .harness import (
     ScenarioConfig,
     load_config,
     run_scenarios,
-    bounds_report,
-    reliability_report,
 )
 from .population import (
     Category,

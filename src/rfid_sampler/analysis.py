@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 
+from .errors import ConfigurationError
 from .population import check_categories
 from .protocol import optc1_header_bits
 
@@ -75,12 +76,12 @@ def seed_success_lower_bound(c: int) -> float:
 
 def reliability_number(alpha: float, epsilon: float) -> int:
     """Smallest c with alpha^c <= epsilon: sampling c tags from a category
-    with missing rate alpha succeeds except with probability epsilon."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if not 0.0 < epsilon < 1.0:
-        raise ValueError(f"epsilon must be in (0, 1), got {epsilon}")
-    return math.ceil(math.log(1.0 / epsilon) / math.log(1.0 / alpha))
+    with missing rate alpha succeeds except with probability epsilon.  Both
+    logs are finite and negative on (0, 1), subnormals included, so c >= 1."""
+    for name, x in (("alpha", alpha), ("epsilon", epsilon)):
+        if not 0.0 < x < 1.0:
+            raise ConfigurationError(f"{name} must lie in (0, 1), got {x}")
+    return math.ceil(math.log(epsilon) / math.log(alpha))
 
 
 def success_probability(n: int, missing: int, c: int) -> float:

@@ -12,9 +12,13 @@ from .selgen import SELECT_FIXED_BITS
 
 @dataclass
 class BaselineReport(ReadyTags):
-    bits: int
     pool: tuple[np.ndarray, np.ndarray] = field(repr=False)  # category ID halves
     positions: np.ndarray  # the picked tags' rows, in reporting order
+
+    @property
+    def bits(self) -> int:
+        """One Select command matching the full ID per pick."""
+        return len(self.positions) * (SELECT_FIXED_BITS + ID_BITS)
 
 
 def run_random_select(
@@ -25,8 +29,7 @@ def run_random_select(
     reports = []
     for cat in population.categories:
         picks = rng.choice(cat.n, size=cat.c, replace=False)
-        bits = cat.c * (SELECT_FIXED_BITS + ID_BITS)
-        reports.append(BaselineReport(bits=bits, pool=(cat.hi, cat.lo), positions=picks))
+        reports.append(BaselineReport(pool=(cat.hi, cat.lo), positions=picks))
     return reports
 
 

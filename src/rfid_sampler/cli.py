@@ -11,10 +11,12 @@ import argparse
 import os
 import sys
 
-from .analysis import transmission_time
+from .analysis import (
+    expected_protocol_bits, lower_bound_bits, reliability_number, transmission_time,
+)
 from .errors import ConfigurationError, ProtocolError
-from .harness import bounds_report, reliability_report, run_scenarios
-from .population import ID_BITS
+from .harness import parse_ints, run_scenarios
+from .population import ID_BITS, check_population_cap
 from .selgen import commands_bit_cost, selgen_commands, selgen_filters
 from .verify import SUITES, run_suite
 
@@ -34,15 +36,14 @@ def _env_seed() -> int | None:
         raise ConfigurationError(f"RFID_SAMPLER_SEED must be an integer, got {raw!r}")
 
 
-def _parse_int_list(raw: str) -> int | list[int]:
-    parts = [p for p in raw.split(",") if p.strip()]
-    if not parts:
-        raise ConfigurationError(f"empty integer list: {raw!r}")
-    try:
-        values = [int(p) for p in parts]
-    except ValueError:
-        raise ConfigurationError(f"not an integer list: {raw!r}") from None
-    return values[0] if len(values) == 1 else values
+def _per_category(raw: str, K: int, flag: str) -> list[int]:
+    """One value repeats; otherwise there must be exactly K values."""
+    values = parse_ints(raw, flag)
+    if len(values) == 1:
+        return values * K
+    if len(values) != K:
+        raise ConfigurationError(f"{flag}: need 1 or K={K} values, got {len(values)}")
+    return values
 
 
 def _parse_float_range(raw: str) -> list[float]:
@@ -84,38 +85,36 @@ def cmd_verify(args) -> int:
 def cmd_selgen(args) -> int:
     if not 1 <= args.bits <= ID_BITS:  # a hash window is a substring of the ID
         raise ConfigurationError(f"need 1 <= bits <= {ID_BITS}, got bits={args.bits}")
-    if not 0 <= args.tau < (1 << args.bits):
-        raise ConfigurationError(
-            f"need 0 <= tau < 2^bits, got tau={args.tau}, bits={args.bits}"
-        )
     filters = selgen_filters(args.tau, args.bits)
     commands = selgen_commands(args.tau, args.bits)
     print(f"threshold {args.tau} over {args.bits}-bit hashes: "
           f"{len(commands)} Select commands")
     for filt, mask in zip(filters, commands):
-        print(f"  filter {filt}  mask {mask or '(empty)'}  "
+        print(f"  filter {filt}  mask {mask}  "
               f"length {len(mask)}  cost {commands_bit_cost([mask])} bits")
     print(f"total {commands_bit_cost(commands)} bits")
     return EXIT_OK
 
 
 def cmd_bounds(args) -> int:
-    row = bounds_report(args.k, _parse_int_list(args.c),
-                        _parse_int_list(args.n) if args.n else None)
-    print(f"K={row['K']} sum_c={row['sum_c']} "
-          f"lower_bound={row['lower_bound_bits']:.1f} bits "
-          f"({transmission_time(row['lower_bound_bits']) * 1e3:.3f} ms)  "
-          f"expected={row['expected_bits']:.1f} bits "
-          f"({transmission_time(row['expected_bits']) * 1e3:.3f} ms)  "
-          f"ratio={row['ratio']:.4f}")
+    K = args.k
+    check_population_cap(K)  # before any K-length list is built
+    cs = _per_category(args.c, K, "--c")
+    ns = _per_category(args.n, K, "--n") if args.n else [max(c * 10, 2) for c in cs]
+    expected = expected_protocol_bits(ns, cs)  # checks every (n, c), so the next call cannot raise
+    gamma = lower_bound_bits(cs)
+    print(f"K={K} sum_c={sum(cs)} "
+          f"lower_bound={gamma:.1f} bits ({transmission_time(gamma) * 1e3:.3f} ms)  "
+          f"expected={expected:.1f} bits ({transmission_time(expected) * 1e3:.3f} ms)  "
+          f"ratio={expected / gamma:.4f}")
     return EXIT_OK
 
 
 def cmd_reliability(args) -> int:
     alphas = _parse_float_range(args.alpha)
-    for row in reliability_report(alphas, args.epsilon):
-        print(f"alpha={row['alpha']:.3f} epsilon={row['epsilon']:g} "
-              f"-> c={row['c']}")
+    cs = [reliability_number(a, args.epsilon) for a in alphas]  # a bad sweep prints nothing
+    for alpha, c in zip(alphas, cs):
+        print(f"alpha={alpha:.3f} epsilon={args.epsilon:g} -> c={c}")
     return EXIT_OK
 
 

@@ -2,7 +2,7 @@
 
 
 class ConfigurationError(ValueError):
-    """Invalid scenario / population configuration."""
+    """Invalid input: a scenario, a population, or an argument outside its range."""
 
 
 class ProtocolError(RuntimeError):

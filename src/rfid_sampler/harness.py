@@ -17,9 +17,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .analysis import (
-    expected_protocol_bits, lower_bound_bits, reliability_number, transmission_time,
-)
+from .analysis import lower_bound_bits, transmission_time
 from .baselines import run_random_select
 from .errors import ConfigurationError
 from .population import check_categories, check_population_cap, generate_population
@@ -66,14 +64,20 @@ class ScenarioConfig:
         return len(self.ns)
 
 
-def _expand_schedule(raw: str, K: int, key: str, section: str) -> list[int]:
-    """A single value repeats; a comma list cycles to length K."""
+def parse_ints(raw: str, where: str) -> list[int]:
+    """The integers of a comma list, skipping blank items; an error message
+    starts with `where`."""
     try:
-        values = [int(x) for x in str(raw).split(",") if x.strip() != ""]
+        values = [int(x) for x in raw.split(",") if x.strip()]
     except ValueError:
-        raise ConfigurationError(f"[{section}] {key}: not an integer list: {raw!r}")
+        raise ConfigurationError(f"{where}: not an integer list: {raw!r}") from None
     if not values:
-        raise ConfigurationError(f"[{section}] {key}: empty schedule")
+        raise ConfigurationError(f"{where}: empty integer list: {raw!r}")
+    return values
+
+
+def _expand_schedule(values: list[int], K: int) -> list[int]:
+    """A single value repeats; a list cycles to length K."""
     return [values[i % len(values)] for i in range(K)]
 
 
@@ -100,8 +104,8 @@ def _scenario(sec, seed_override: int | None) -> ScenarioConfig:
     )
     return ScenarioConfig(
         scenario_id=sec.name,
-        ns=_expand_schedule(sec["n"], K, "n", sec.name),
-        cs=_expand_schedule(sec["c"], K, "c", sec.name),
+        ns=_expand_schedule(parse_ints(sec["n"], f"[{sec.name}] n"), K),
+        cs=_expand_schedule(parse_ints(sec["c"], f"[{sec.name}] c"), K),
         trials=_int_key(sec, "trials", fallback=10),
         rng_seed=seed_override if seed_override is not None else _int_key(sec, "seed", fallback=0),
         protocols=protocols,
@@ -236,39 +240,3 @@ def run_scenarios(config_path: str, out_path: str, seed_override: int | None = N
     rows = run_points(points)
     write_results(rows, out_path)
     return rows
-
-
-def bounds_report(K: int, cs, ns=None) -> dict:
-    """The lower bound and the expected protocol cost of one configuration,
-    in bits; `cs`/`ns` may be single ints (replicated) or K-length lists."""
-    check_population_cap(K)
-    cs = [cs] * K if isinstance(cs, int) else list(cs)
-    if len(cs) != K:
-        raise ConfigurationError(f"need K={K} sample counts, got {len(cs)}")
-    if ns is None:
-        ns = [max(c * 10, 2) for c in cs]
-    ns = [ns] * K if isinstance(ns, int) else list(ns)
-    if len(ns) != K:
-        raise ConfigurationError(f"need K={K} sizes, got {len(ns)}")
-    check_categories(ns, cs)
-    gamma = lower_bound_bits(cs)
-    expected = expected_protocol_bits(ns, cs)
-    return {
-        "K": K,
-        "sum_c": sum(cs),
-        "lower_bound_bits": gamma,
-        "expected_bits": expected,
-        "ratio": expected / gamma,
-    }
-
-
-def reliability_report(alphas: list[float], epsilon: float) -> list[dict]:
-    """The sample count c for each missing rate in `alphas` at failure
-    probability `epsilon`."""
-    for x in (*alphas, epsilon):
-        if not 0.0 < x < 1.0:
-            raise ConfigurationError(f"alpha and epsilon must lie in (0, 1), got {x}")
-    return [
-        {"alpha": a, "epsilon": epsilon, "c": reliability_number(a, epsilon)}
-        for a in alphas
-    ]

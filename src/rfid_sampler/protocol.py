@@ -151,7 +151,7 @@ def refine_seeds(c: int) -> Iterator[SeedSpec]:
 
 
 def default_iteration_cap(c: int) -> int:
-    return 64 * (1 + math.ceil(math.log2(c))) if c > 1 else 64
+    return 64 * (1 + math.ceil(math.log2(c)))
 
 
 def optc2_round(pool: tuple[np.ndarray, np.ndarray], c: int) -> RoundOutcome:

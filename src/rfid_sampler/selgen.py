@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ProtocolError
+from .errors import ConfigurationError, ProtocolError
 from .hashing import (
     SeedSpec,
     seed_windows,
@@ -42,9 +42,9 @@ def selgen_commands(tau: int, width: int) -> list[str]:
     every completion.
     """
     if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
+        raise ConfigurationError(f"width must be >= 1, got {width}")
     if not 0 <= tau < (1 << width):
-        raise ValueError(f"tau={tau} does not fit in {width} bits")
+        raise ConfigurationError(f"tau={tau} does not fit in {width} bits")
     bits = format(tau, f"0{width}b")
     # (~tau & (tau + 1)).bit_length() is one more than tau's trailing ones
     close = width - min((~tau & (tau + 1)).bit_length(), width)

@@ -125,6 +125,11 @@ class TestReliability:
             with pytest.raises(ValueError):
                 reliability_number(0.5, bad)
 
+    def test_subnormal_inputs(self):
+        # 1/x overflows for a subnormal x; the logs of alpha and epsilon do not
+        assert reliability_number(1e-320, 0.5) == 1
+        assert reliability_number(0.5, 1e-320) == 1064
+
 
 class TestSuccessProbability:
     def test_exact_known_values(self):

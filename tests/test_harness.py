@@ -1,17 +1,21 @@
+import io
 import os
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from rfid_sampler import ConfigurationError, cli, load_config, population
+from rfid_sampler import (
+    ConfigurationError, cli, load_config, population, reliability_number, selgen_commands,
+)
 from rfid_sampler.cli import main
 from rfid_sampler.harness import (
     CSV_COLUMNS,
     ScenarioConfig,
     aggregate,
-    bounds_report,
-    reliability_report,
     run_points,
     run_scenarios,
 )
@@ -131,14 +135,36 @@ class TestResults:
 
 
 class TestReports:
-    def test_bounds_table(self):
-        row = bounds_report(100, 10)
-        assert row["lower_bound_bits"] == pytest.approx(1442.7, abs=0.1)
-        assert row["ratio"] > 1.88
+    def test_bounds_table(self, capsys):
+        assert main(["bounds", "--k", "100", "--c", "10"]) == 0
+        assert "lower_bound=1442.7 bits" in capsys.readouterr().out
 
     def test_reliability_table(self):
-        rows = reliability_report([0.05, 0.9], 0.01)
-        assert [r["c"] for r in rows] == [2, 44]
+        assert [reliability_number(a, 0.01) for a in (0.05, 0.9)] == [2, 44]
+
+    def test_range_errors_are_configuration_errors(self):
+        # the CLI maps ConfigurationError to exit 2; existing callers still
+        # catch a ValueError
+        for call in (lambda: selgen_commands(9, 3), lambda: reliability_number(1.5, 0.01)):
+            with pytest.raises(ConfigurationError) as exc:
+                call()
+            assert isinstance(exc.value, ValueError)
+
+
+def _int_list(lo: int, hi: int):
+    return st.lists(st.integers(lo, hi), min_size=1, max_size=4).map(
+        lambda v: ",".join(map(str, v)))
+
+
+# every value as --flag=value: argparse reads a bare "-1e-05" as an option
+_NUMERIC_ARGV = st.one_of(
+    st.builds(lambda a, e: ["reliability", f"--alpha={a!r}", f"--epsilon={e!r}"],
+              st.floats(), st.floats()),
+    st.builds(lambda t, b: ["selgen", f"--tau={t}", f"--bits={b}"],
+              st.integers(-3, 2**100), st.integers(-2, 100)),
+    st.builds(lambda k, c, n: ["bounds", f"--k={k}", f"--c={c}"] + ([f"--n={n}"] if n else []),
+              st.integers(-2, 50), _int_list(-2, 3000), st.none() | _int_list(-2, 3000)),
+)
 
 
 class TestCli:
@@ -280,6 +306,14 @@ class TestCli:
         pytest.param(GOOD_CONFIG, None, "abc", id="env-seed-abc"),
         pytest.param(None, ["selgen", "--tau", "0", "--bits", "97"], None,
                      id="selgen-bits-past-id"),
+        pytest.param(None, ["bounds", "--k", "2", "--c", "1", "--n", "5,6,7"], None,
+                     id="bounds-n-too-long"),
+        pytest.param(None, ["selgen", "--tau", "-1", "--bits", "4"], None,
+                     id="selgen-tau-negative"),
+        pytest.param(None, ["reliability", "--alpha", "0.5", "--epsilon", "1.5"], None,
+                     id="epsilon-1.5"),
+        pytest.param(None, ["reliability", "--alpha", "0.5:1.5:0.5", "--epsilon", "0.01"], None,
+                     id="alpha-sweep-leaves-unit-interval"),
     ])
     def test_bad_input_exits_2(self, tmp_path, monkeypatch, capsys, config, argv, env):
         if env is not None:
@@ -288,7 +322,24 @@ class TestCli:
             argv = ["simulate", "--config", _write(tmp_path, config),
                     "--out", str(tmp_path / "o.csv")]
         assert main(argv) == 2
-        assert capsys.readouterr().err.startswith("configuration error:")
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("configuration error:")
+
+    @given(argv=_NUMERIC_ARGV)
+    @example(argv=["reliability", "--alpha=0.5", "--epsilon=1e-320"])
+    @example(argv=["reliability", "--alpha=1e-320", "--epsilon=0.5"])
+    @settings(max_examples=300, deadline=None)
+    def test_numeric_input_exits_0_or_2(self, argv):
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("configuration error:")
+
+    def test_reliability_at_subnormal_inputs(self, capsys):
+        assert main(["reliability", "--alpha", "1e-320", "--epsilon", "0.5"]) == 0
+        assert capsys.readouterr().out == "alpha=0.000 epsilon=0.5 -> c=1\n"
 
     def test_reliability_sweep(self, capsys):
         assert main(["reliability", "--alpha", "0.1:0.9:0.4", "--epsilon", "0.01"]) == 0
