@@ -33,6 +33,7 @@ from .population import (
     generate_population,
 )
 from .protocol import (
+    CoarseRound,
     CostLedger,
     RoundOutcome,
     build_frame,

@@ -2,18 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .population import ID_BITS, Population, ReadyTags
 from .selgen import SELECT_FIXED_BITS
 
 
-@dataclass
 class BaselineReport(ReadyTags):
-    pool: tuple[np.ndarray, np.ndarray] = field(repr=False)  # category ID halves
-    positions: np.ndarray  # the picked tags' rows, in reporting order
+    """One category's random picks; `pool` is the category's ID halves."""
 
     @property
     def bits(self) -> int:

@@ -115,12 +115,12 @@ def _scenario(sec, seed_override: int | None) -> ScenarioConfig:
 def load_config(path: str, seed_override: int | None = None) -> list[ScenarioConfig]:
     parser = configparser.ConfigParser()
     try:
-        if not parser.read(path):
+        if not parser.read(path, encoding="utf-8"):
             raise ConfigurationError(f"cannot read config file {path}")
         points = [_scenario(parser[s], seed_override) for s in parser.sections()]
-    except configparser.Error as exc:
-        # malformed INI: no section header, a repeated section or key, or
-        # a bad %-interpolation
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # malformed INI: no section header, a repeated section or key, a
+        # bad %-interpolation, or bytes that are not UTF-8
         raise ConfigurationError(f"config file {path}: {exc}") from None
     if not points:
         raise ConfigurationError(f"config file {path} defines no scenarios")

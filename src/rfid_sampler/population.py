@@ -16,7 +16,7 @@ they read each category through the `Population.categories` view.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
@@ -107,15 +107,16 @@ def halves_to_ids(hi: np.ndarray, lo: np.ndarray) -> list[int]:
     return [(h << _HALF_BITS) | l for h, l in zip(hi.tolist(), lo.tolist())]
 
 
+@dataclass
 class ReadyTags:
-    """Base of a result holding `pool`, ID halves (hi, lo) or None, and
-    `positions`, the rows of its Ready tags in reporting order."""
+    """Base of a result that samples Ready tags out of a pool of ID halves."""
+
+    pool: tuple[np.ndarray, np.ndarray] = field(repr=False)  # ID halves (hi, lo)
+    positions: np.ndarray  # the Ready tags' rows of `pool`, in reporting order
 
     @cached_property
     def ready(self) -> list[tuple[int, int]]:
         """(ID, reporting order) of the Ready tags, by order; built on first read."""
-        if self.pool is None:
-            return []
         ids = halves_to_ids(self.pool[0][self.positions], self.pool[1][self.positions])
         return list(zip(ids, range(1, len(ids) + 1)))
 

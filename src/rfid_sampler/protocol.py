@@ -9,19 +9,19 @@ side) moves the rows in marked singleton slots out of the pool as Ready.
 A round's outcome keeps the pool and the Ready rows by order; the Ready
 tags' Python-int IDs are built only if `RoundOutcome.ready` is read.
 
-Cost accounting keeps two views per refinement round:
+Each stage has its own record.  A `CoarseRound`'s ``bits_sent`` is the
+header, `optc1_header_bits(n, c)`.  A refinement `RoundOutcome` counts:
 
-* ``bits_sent``    -- what the stage itself broadcast: the frame bits plus a
-  1-bit stop.  The refinement stage broadcasts no header: each iteration's
-  seed comes from a schedule both sides compute from the iteration index,
-  and the frame length f = r + ceil(3*sqrt(c)) from the r orders still
-  unassigned, which the tags track by counting ones.  A frame ends at its
-  r-th one (the tags count them, so it delimits itself), else after f bits.
-* ``payload_bits`` -- the frame bits alone, the accounting under which the
-  refinement stage's expected cost is e*c.
+* ``payload_bits`` -- the frame bits, the accounting under which the
+  refinement stage's expected cost is e*c.  The stage broadcasts no
+  header: each iteration's seed comes from a schedule both sides compute
+  from the iteration index, and the frame length f = r + ceil(3*sqrt(c))
+  from the r orders still unassigned, which the tags track by counting
+  ones.  A frame ends at its r-th one (the tags count them, so it
+  delimits itself), else after f bits.
+* ``bits_sent``    -- the frame bits plus the 1-bit stop: all it broadcast.
 
-A coarse round's ``bits_sent`` is its header; `run_optc`'s `CostLedger`
-is the sum over both stages of every category.
+`run_optc`'s `CostLedger` is the sum over both stages of every category.
 
 With the coarse header, a category of n = 100 measures 2.50x the
 log2(e)*c lower bound at c = 10 and 2.03x at c = 50 (frame bits alone:
@@ -33,8 +33,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,20 +50,24 @@ from .hashing import (
 from .population import ID_BITS, Population, ReadyTags
 
 
+class CoarseRound(NamedTuple):
+    """The coarse stage's result for one category."""
+
+    positions: np.ndarray  # the Selected tags' rows in the category's ID arrays
+    bits_sent: int  # the header, optc1_header_bits(n, c)
+    seed_tests: int
+
+
 @dataclass
 class RoundOutcome(ReadyTags):
-    """One stage's result for one category; `bits_sent` counts only the
-    bits that stage broadcast."""
+    """The refinement stage's result for one category, over the Selected tags' halves."""
 
-    iterations: int = 0
-    bits_sent: int = 0
-    payload_bits: int = 0
-    seed_tests: int = 0                 # coarse stage: seeds tested
-    # Coarse stage: positions of the Selected tags in the category's ID
-    # arrays.  Refinement stage: pool rows of the Ready tags, by order.
-    positions: np.ndarray | None = None
-    # Refinement stage: the pool's ID halves, which `ready` reads (coarse stage: None).
-    pool: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    iterations: int
+    payload_bits: int  # frame bits
+
+    @property
+    def bits_sent(self) -> int:
+        return self.payload_bits + 1  # the frames and the 1-bit stop: all it broadcast
 
 
 @dataclass
@@ -82,20 +87,16 @@ def optc1_round(
     lo: np.ndarray,
     c: int,
     rng: np.random.Generator,
-) -> RoundOutcome:
+) -> CoarseRound:
     """Coarse stage for one category, given its tags' ID halves (hi, lo):
     broadcast a suitable seed, tags flip a Bernoulli coin via the threshold
-    rule.  The outcome's `positions` index the tags it selects."""
+    rule.  The result's `positions` index the tags it selects."""
     n = len(hi)
     if not 1 <= c <= n:
         raise ValueError(f"need 1 <= c <= n, got c={c}, n={n}")
 
     positions, stats = find_suitable_seed(hi, lo, c, rng=rng)
-    return RoundOutcome(
-        bits_sent=optc1_header_bits(n, c),
-        seed_tests=stats.tests,
-        positions=positions,
-    )
+    return CoarseRound(positions, optc1_header_bits(n, c), stats.tests)
 
 
 def build_frame(slot_occupancy, needed: int, length: int) -> np.ndarray:
@@ -199,7 +200,7 @@ def optc2_round(pool: tuple[np.ndarray, np.ndarray], c: int) -> RoundOutcome:
         promoted.append(rows[hit[heard.argsort(kind="stable")]])
         orders += sorted(counters)
         done += len(counters)
-        if done == c:
+        if done >= c:  # past c only if a frame marked a collision slot
             break
         keep = ~ready
         rows, hi, lo, cnt = rows[keep], hi[keep], lo[keep], cnt[keep]
@@ -213,7 +214,6 @@ def optc2_round(pool: tuple[np.ndarray, np.ndarray], c: int) -> RoundOutcome:
         raise ProtocolError(f"reporting orders are not a permutation of 1..{c}")
     return RoundOutcome(
         iterations=iterations,
-        bits_sent=payload + 1,  # stop broadcast
         payload_bits=payload,
         positions=promoted[0] if iterations == 1 else np.concatenate(promoted),
         pool=pool,

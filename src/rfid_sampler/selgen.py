@@ -13,7 +13,7 @@ not per command.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -109,8 +109,6 @@ class ImplRoundResult(ReadyTags):
     tau_coarse: int
     tau_refine: int
     commands: list[str]  # the Select commands' masks, coarse stage first
-    pool: tuple[np.ndarray, np.ndarray] = field(repr=False)  # coarse survivors' halves
-    positions: np.ndarray  # the Ready tags' rows of the pool, in reporting order
 
     @property
     def bits(self) -> int:
@@ -182,7 +180,7 @@ def run_impl_category(
         tau_refine=tau2,
         commands=cmds,
         # reporting orders follow the refine hash rank; the hashes are distinct
-        pool=(s_hi, s_lo),
+        pool=(s_hi, s_lo),  # the coarse survivors' halves
         positions=rank[:c],
     )
 

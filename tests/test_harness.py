@@ -197,6 +197,15 @@ class TestCli:
         assert main(["simulate", "--config", str(tmp_path / "nope.ini"),
                      "--out", str(tmp_path / "o.csv")]) == 2
 
+    def test_config_not_utf8_exits_2(self, tmp_path, capsys):
+        # config files are read as UTF-8, whatever the locale; a Latin-1
+        # byte is a configuration error, not a runtime failure
+        config = tmp_path / "latin1.ini"
+        config.write_bytes("[café]\nK = 1\nn = 5\nc = 2\n".encode("latin-1"))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "o.csv")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("configuration error:")
+
     def test_protocol_failure_exits_3(self, tmp_path, monkeypatch, capsys):
         # all-zero IDs leave the coarse stage no suitable seed, so the
         # protocol itself raises inside simulate

@@ -18,7 +18,7 @@ from rfid_sampler import (
 )
 from rfid_sampler import protocol, verify
 from rfid_sampler.hashing import find_suitable_seed, selection_threshold
-from rfid_sampler.population import halves_to_ids
+from rfid_sampler.population import halves_to_ids, random_ids
 from rfid_sampler.protocol import (
     optc1_header_bits,
     refine_frame_length,
@@ -150,7 +150,8 @@ class TestCoarseStage:
         hi, lo = _halves(_ids(10))
         before = hi.copy(), lo.copy()
         out = optc1_round(hi, lo, 2, np.random.default_rng(0))
-        assert out.ready == []
+        assert not hasattr(out, "ready")
+        assert out.bits_sent == optc1_header_bits(10, 2)
         assert out.positions.dtype.kind == "i"
         assert np.all(np.diff(out.positions) > 0)
         assert 0 <= out.positions[0] and out.positions[-1] < 10
@@ -186,6 +187,22 @@ class TestRefineStage:
         assert out.bits_sent == out.payload_bits + 1
         assert out.payload_bits >= 8  # one set bit per promoted tag
         assert out.iterations >= 1
+
+    @pytest.mark.parametrize("n, c", [(60, 40), (100, 10), (1000, 100)])
+    def test_marked_collision_slot_fails_order_check(self, monkeypatch, n, c):
+        # A faulty reader that marks every occupied slot, collisions
+        # included, promotes more tags than it marks ones: the round must
+        # stop and fail the 1..c order check, not run on with needed < 1.
+        def mark_occupied(slot_occupancy, needed, length):
+            occupied = np.bincount(slot_occupancy, minlength=length) > 0
+            occupied[occupied.nonzero()[0][needed:]] = False
+            return occupied.view(np.uint8)
+
+        monkeypatch.setattr(protocol, "build_frame", mark_occupied)
+        for s in range(20):
+            pool = random_ids(n, np.random.default_rng(s))
+            with pytest.raises(ProtocolError, match=r"not a permutation of 1\.\.\d+$"):
+                optc2_round(pool, c)
 
     def test_frame_ends_at_last_needed_one(self):
         # c = 2: f = 2 + ceil(3*sqrt 2) = 7 slots; the first seed reads the
