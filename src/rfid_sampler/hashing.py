@@ -132,9 +132,10 @@ def find_suitable_seed(
     L = mod_hash_width(n)
     # hashes are integers, so h <= c + 3*sqrt(c) iff h <= its floor
     thr = np.array(math.floor(selection_threshold(c)), dtype=np.uint64)
+    modulus = np.array(n, dtype=np.uint64)  # 0-d operands are faster than scalars
 
     for tests, seed in enumerate(seed_windows(L, rng), start=1):
-        selected = substring_values(hi, lo, seed) % n <= thr
+        selected = substring_values(hi, lo, seed) % modulus <= thr
         if suitable_from_count(int(np.count_nonzero(selected)), c):
             return selected.nonzero()[0], SeedSearchStats(tests=tests, seed=seed)
     raise ProtocolError(f"no suitable seed for n={n}, c={c} after {tests} tests")

@@ -2,7 +2,10 @@
 
 Tags carry 96-bit IDs whose bits are drawn independently and uniformly at
 random, so any substring window is usable as a hash source.  IDs are unique
-within a population (collisions are resolved by redraw).
+within a population (collisions are resolved by redraw).  Each 48-bit half
+is the top 48 bits of one PCG64 raw word, equal to an
+`integers(0, 2**48)` draw; `random_ids` raises TypeError for any other
+bit generator.
 
 A population is four arrays (hi, lo, offsets, cs): each ID as its high and
 low 48-bit halves, categories contiguous and in draw order inside each, CSR
@@ -27,6 +30,7 @@ from .errors import ConfigurationError
 ID_BITS = 96
 _HALF_BITS = 48
 _MAX_POPULATION = 1 << 20
+_RAW_SHIFT = np.array(64 - _HALF_BITS, dtype=np.uint64)  # raw word -> its top 48 bits
 
 
 @dataclass(slots=True)
@@ -84,18 +88,29 @@ def _first_occurrences(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
 
 def random_ids(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """n distinct 96-bit IDs as (hi, lo) uint64 halves, every bit
-    independently uniform, in draw order.  A drawn ID equal to an earlier
-    one is dropped, and the shortfall is drawn again until n are distinct.
-    If one sort of the high halves shows no two equal, no two IDs can be
-    equal, and only a repeated high half (odds about n^2 / 2^49) pays for
-    the full-ID search."""
+    independently uniform, in draw order.  Each half is the top 48 bits of
+    one PCG64 raw word (hi the even words, lo the odd ones): the values,
+    and the generator state after, of `rng.integers(0, 2**48, size=(n, 2),
+    dtype=np.uint64)`, whose Lemire draw rejects nothing for a power-of-two
+    range.  Any other bit generator raises TypeError (MT19937's raw words
+    are 32-bit).
+    A drawn ID equal to an earlier one is dropped, and the shortfall is
+    drawn again until n are distinct.  If one sort of the high halves shows
+    no two equal, no two IDs can be equal, and only a repeated high half
+    (odds about n^2 / 2^49) pays for the full-ID search."""
+    bits = rng.bit_generator
+    if not isinstance(bits, np.random.PCG64):
+        raise TypeError(f"random_ids needs a PCG64 generator, got {type(bits).__name__}")
     hi = lo = np.empty(0, dtype=np.uint64)
     while len(hi) < n:
-        halves = rng.integers(0, 1 << _HALF_BITS, size=(n - len(hi), 2), dtype=np.uint64)
-        hi = np.concatenate((hi, halves[:, 0]))
-        lo = np.concatenate((lo, halves[:, 1]))
+        words = bits.random_raw(2 * (n - len(hi)))
+        more_hi, more_lo = words[0::2] >> _RAW_SHIFT, words[1::2] >> _RAW_SHIFT
+        if len(hi):
+            hi, lo = np.concatenate((hi, more_hi)), np.concatenate((lo, more_lo))
+        else:
+            hi, lo = more_hi, more_lo
         h = np.sort(hi)
-        if not (h[1:] == h[:-1]).any():
+        if not np.count_nonzero(h[1:] == h[:-1]):
             break
         keep = _first_occurrences(hi, lo)
         hi, lo = hi[keep], lo[keep]

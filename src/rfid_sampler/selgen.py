@@ -142,7 +142,7 @@ def run_impl_category(
     # stage one: coarse selection by threshold on an L1-bit raw hash
     L1 = max(1, math.ceil(math.log2(n)))
     tau1 = scaled_coarse_threshold(n, c, L1)
-    below = np.uint64(tau1)
+    below = np.array(tau1, dtype=np.uint64)  # 0-d operands are faster than scalars
     for redraws1, coarse_seed in enumerate(seed_windows(L1, rng), start=1):
         mask = substring_values(hi, lo, coarse_seed) <= below
         if suitable_from_count(int(np.count_nonzero(mask)), c):

@@ -87,11 +87,27 @@ def _reference_ids(n, rng):
     return ids
 
 
+class _ScriptedWords(np.random.PCG64):
+    """A PCG64 whose raw words are scripted (hi, lo) pairs, two words per
+    pair, hi first, each half in a word's top 48 bits."""
+
+    def __init__(self, batches):
+        super().__init__(0)
+        self.batches = batches
+
+    def random_raw(self, size=None, output=True):
+        batch = self.batches.pop(0)
+        assert size == batch.size
+        return batch.ravel() << np.uint64(16)
+
+
 class _ScriptedRng:
-    """Stands in for a generator, returning fixed batches of ID halves."""
+    """Stands in for a generator, returning fixed batches of ID halves, as
+    drawn pairs through `integers` and as raw words through `bit_generator`."""
 
     def __init__(self, batches):
         self.batches = [np.array(b, dtype=np.uint64) for b in batches]
+        self.bit_generator = _ScriptedWords(self.batches)
 
     def integers(self, low, high, size, dtype):
         batch = self.batches.pop(0)
@@ -131,6 +147,12 @@ def test_random_ids_shared_high_half_is_not_a_repeat():
     rng = _ScriptedRng([[(1, 2), (1, 3)], [(5, 6)]])
     assert halves_to_ids(*random_ids(2, rng)) == [(1 << 48) | 2, (1 << 48) | 3]
     assert len(rng.batches) == 1
+
+
+def test_random_ids_reject_other_bit_generators():
+    # MT19937's raw words are 32-bit: their top 48 bits are not all random
+    with pytest.raises(TypeError, match="PCG64 generator, got MT19937"):
+        random_ids(5, np.random.Generator(np.random.MT19937(1)))
 
 
 def test_population_matches_reference_loop():

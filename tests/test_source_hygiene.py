@@ -4,6 +4,8 @@ import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rfid_sampler"
+# `population.random_ids` reads PCG64 raw words, which `default_rng` gives
+_GENERATOR_BUILDERS = {"Generator", "RandomState", "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"}
 
 
 def _unused_imports(path: Path) -> list[str]:
@@ -21,8 +23,28 @@ def _unused_imports(path: Path) -> list[str]:
     return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
 
 
+def _generator_builds(path: Path) -> list[str]:
+    """'file:line name' for each call in `path` that builds a generator or
+    bit generator other than through `np.random.default_rng`."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name in _GENERATOR_BUILDERS:
+                hits.append(f"{path.name}:{node.lineno} {name}")
+    return hits
+
+
 def test_package_modules_use_every_name_they_import():
     # __init__.py imports names only to re-export them
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
     assert modules
     assert [hit for path in modules for hit in _unused_imports(path)] == []
+
+
+def test_package_builds_generators_only_through_default_rng():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in _generator_builds(path)] == []
