@@ -5,10 +5,9 @@ at least log2(e) * c bits per category.  The refinement stage's frame
 bits average about e * c, i.e. within e/log2(e) ~ 1.88 of the floor.  The
 refinement stage sends no header, so the full ledger adds only the coarse
 header (ceil(log2(96/log2 n)) + ceil(log2 c) bits) and one stop bit per
-category.  Those fade as c grows: at n = 100 the ledger measures about
-2.5x at c = 10 and 2.03x at c = 50, against the acceptance bounds of
-(1.15*e*c + coarse header + 1) / (log2(e)*c) = 2.79 at c = 10 and 2.1 at
-c = 50.
+category.  Those fade as c grows.  The ratios measured at n = 100 and
+the acceptance bounds they are held to are recorded in README's
+"Acceptance status".
 """
 
 import math

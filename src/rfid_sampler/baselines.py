@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .population import ID_BITS, Population, ReadyTags
-from .selgen import SELECT_FIXED_BITS
+from .selgen import select_bits
 
 
 class BaselineReport(ReadyTags):
@@ -14,7 +14,7 @@ class BaselineReport(ReadyTags):
     @property
     def bits(self) -> int:
         """One Select command matching the full ID per pick."""
-        return len(self.positions) * (SELECT_FIXED_BITS + ID_BITS)
+        return len(self.positions) * select_bits(ID_BITS)
 
 
 def run_random_select(
@@ -32,4 +32,4 @@ def run_random_select(
 def naive_threshold_bits(tau: int, width: int) -> int:
     """Cost of one exact-match command per value in [0, tau]: the cost that
     prefix merging is meant to remove."""
-    return (tau + 1) * (SELECT_FIXED_BITS + width)
+    return (tau + 1) * select_bits(width)

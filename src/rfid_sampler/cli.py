@@ -17,7 +17,7 @@ from .analysis import (
 from .errors import ConfigurationError, ProtocolError
 from .harness import parse_ints, run_scenarios
 from .population import ID_BITS, check_population_cap
-from .selgen import commands_bit_cost, selgen_commands, selgen_filters
+from .selgen import commands_bit_cost, select_bits, selgen_commands, selgen_filters
 from .verify import SUITES, run_suite
 
 EXIT_OK = 0
@@ -91,7 +91,7 @@ def cmd_selgen(args) -> int:
           f"{len(commands)} Select commands")
     for filt, mask in zip(filters, commands):
         print(f"  filter {filt}  mask {mask}  "
-              f"length {len(mask)}  cost {commands_bit_cost([mask])} bits")
+              f"length {len(mask)}  cost {select_bits(len(mask))} bits")
     print(f"total {commands_bit_cost(commands)} bits")
     return EXIT_OK
 

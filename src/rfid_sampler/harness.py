@@ -99,15 +99,15 @@ def _scenario(sec, seed_override: int | None) -> ScenarioConfig:
     for key in ("n", "c"):
         if key not in sec:
             raise ConfigurationError(f"[{sec.name}]: missing key {key}")
-    protocols = tuple(
-        p.strip() for p in sec.get("protocols", "optc").split(",") if p.strip()
-    )
+    listed = sec.get("protocols", ",".join(ScenarioConfig.protocols))
+    protocols = tuple(p.strip() for p in listed.split(",") if p.strip())
     return ScenarioConfig(
         scenario_id=sec.name,
         ns=_expand_schedule(parse_ints(sec["n"], f"[{sec.name}] n"), K),
         cs=_expand_schedule(parse_ints(sec["c"], f"[{sec.name}] c"), K),
-        trials=_int_key(sec, "trials", fallback=10),
-        rng_seed=seed_override if seed_override is not None else _int_key(sec, "seed", fallback=0),
+        trials=_int_key(sec, "trials", fallback=ScenarioConfig.trials),
+        rng_seed=seed_override if seed_override is not None
+        else _int_key(sec, "seed", fallback=ScenarioConfig.rng_seed),
         protocols=protocols,
     )
 

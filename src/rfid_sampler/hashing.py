@@ -4,8 +4,8 @@ A "seed" is the starting position of an L-bit substring of the 96-bit ID;
 the decimal value of the substring is the raw hash, reduced mod n when a
 bounded range is needed.  The coarse sampling stage only accepts seeds that
 select between c and c + 6*sqrt(c) tags; such seeds are called suitable.
-Each window is built once, on first use: `seed_spec` returns its one
-validated `SeedSpec`, and `substring_values` its cached shifts and mask.
+Each window is one object: `seed_spec(start, length)` returns its one shared
+`SeedSpec`, whose `read` builds the window's shifts and mask on first use.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ProtocolError
-from .population import ID_BITS, _HALF_BITS, random_ids
+from .population import HALF_BITS, ID_BITS, random_ids
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,24 @@ class SeedSpec:
         if self.length < 1:
             raise ValueError(f"substring length must be >= 1, got {self.length}")
         if not 1 <= self.start <= ID_BITS - self.length + 1:
-            raise ValueError(
-                f"start {self.start} out of range for length {self.length}"
-            )
+            raise ValueError(f"start {self.start} out of range for length {self.length}")
+
+    @functools.cached_property
+    def read(self):
+        """(hi, lo) -> the window's values, with 0-d uint64 constants (faster than scalars)."""
+        if self.length > HALF_BITS:
+            raise ValueError(f"a window of {self.length} bits is wider than a {HALF_BITS}-bit half")
+        end = self.start + self.length - 1
+        mask = np.array((1 << self.length) - 1, dtype=np.uint64)
+        # the window's last bit lies (96 - end) mod 48 bits above its half's bottom
+        down = np.array((ID_BITS - end) % HALF_BITS, dtype=np.uint64)
+        if end <= HALF_BITS:
+            return lambda hi, lo: (hi >> down) & mask
+        if self.start > HALF_BITS:
+            return lambda hi, lo: (lo >> down) & mask
+        # crossing bit 48: hi's bits above the window land past the mask, which drops them
+        up = np.array(end - HALF_BITS, dtype=np.uint64)
+        return lambda hi, lo: ((hi << up) | (lo >> down)) & mask
 
 
 seed_spec = functools.cache(SeedSpec)  # seed_spec(start, length): one shared SeedSpec
@@ -54,7 +69,7 @@ def mod_hash_width(m: int) -> int:
     caps the relative bias at 2^-16, which is negligible next to the
     Monte-Carlo noise, so the substring behaves like the uniform hash
     the protocol analysis assumes."""
-    return min(_HALF_BITS, max(1, math.ceil(math.log2(m))) + 16)
+    return min(HALF_BITS, max(1, math.ceil(math.log2(m))) + 16)
 
 
 def selection_threshold(c: int) -> float:
@@ -69,33 +84,15 @@ def ids_to_halves(ids) -> tuple[np.ndarray, np.ndarray]:
     """Split python-int IDs into (high 48 bits, low 48 bits) uint64 arrays.
 
     Kept only because `benchmarks/spans.py` wraps this name; no package code calls it."""
-    hi = np.fromiter((i >> _HALF_BITS for i in ids), dtype=np.uint64, count=len(ids))
-    lo = np.fromiter((i & ((1 << _HALF_BITS) - 1) for i in ids), np.uint64, len(ids))
+    hi = np.fromiter((i >> HALF_BITS for i in ids), dtype=np.uint64, count=len(ids))
+    lo = np.fromiter((i & ((1 << HALF_BITS) - 1) for i in ids), np.uint64, len(ids))
     return hi, lo
-
-
-@functools.cache
-def _window_reader(start: int, length: int):
-    """(hi, lo) -> the window's value, with 0-d uint64 constants (faster than scalars)."""
-    if length > _HALF_BITS:
-        raise ValueError(f"vectorized path supports length <= {_HALF_BITS}")
-    end = start + length - 1
-    mask = np.array((1 << length) - 1, dtype=np.uint64)
-    # the window's last bit lies (96 - end) mod 48 bits above its half's bottom
-    down = np.array((ID_BITS - end) % _HALF_BITS, dtype=np.uint64)
-    if end <= _HALF_BITS:
-        return lambda hi, lo: (hi >> down) & mask
-    if start > _HALF_BITS:
-        return lambda hi, lo: (lo >> down) & mask
-    # crossing bit 48: hi's bits above the window land past the mask, which drops them
-    up = np.array(end - _HALF_BITS, dtype=np.uint64)
-    return lambda hi, lo: ((hi << up) | (lo >> down)) & mask
 
 
 def substring_values(hi: np.ndarray, lo: np.ndarray, seed: SeedSpec) -> np.ndarray:
     """Unsigned value of ID bits [start, start+L-1], MSB first, of every ID
     given as (hi, lo) halves."""
-    return _window_reader(seed.start, seed.length)(hi, lo)
+    return seed.read(hi, lo)
 
 
 def suitable_from_count(count: int, c: int) -> bool:

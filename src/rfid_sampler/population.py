@@ -28,9 +28,9 @@ import numpy as np
 from .errors import ConfigurationError
 
 ID_BITS = 96
-_HALF_BITS = 48
+HALF_BITS = 48
 _MAX_POPULATION = 1 << 20
-_RAW_SHIFT = np.array(64 - _HALF_BITS, dtype=np.uint64)  # raw word -> its top 48 bits
+_RAW_SHIFT = np.array(64 - HALF_BITS, dtype=np.uint64)  # raw word -> its top 48 bits
 
 
 @dataclass(slots=True)
@@ -119,7 +119,7 @@ def random_ids(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray
 
 def halves_to_ids(hi: np.ndarray, lo: np.ndarray) -> list[int]:
     """Python-int IDs from their (hi, lo) halves, in the given order."""
-    return [(h << _HALF_BITS) | l for h, l in zip(hi.tolist(), lo.tolist())]
+    return [(h << HALF_BITS) | l for h, l in zip(hi.tolist(), lo.tolist())]
 
 
 @dataclass

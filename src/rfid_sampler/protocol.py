@@ -23,10 +23,9 @@ header, `optc1_header_bits(n, c)`.  A refinement `RoundOutcome` counts:
 
 `run_optc`'s `CostLedger` is the sum over both stages of every category.
 
-With the coarse header, a category of n = 100 measures 2.50x the
-log2(e)*c lower bound at c = 10 and 2.03x at c = 50 (frame bits alone:
-1.88x at both); the coarse header is 0.555x at c = 10, which keeps any
-implementation of the design above 2.1x there (closed form 2.508x).
+How the ledger measures against the log2(e)*c lower bound is recorded
+once, in README's "Acceptance status", and checked by
+`tests/test_acceptance.py`.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ class CostLedger:
 def optc1_header_bits(n: int, c: int) -> int:
     """Cost of broadcasting the seed description and c for one category."""
     log_n = max(1.0, math.log2(n))
-    return math.ceil(math.log2(96.0 / log_n)) + math.ceil(math.log2(c))
+    return math.ceil(math.log2(ID_BITS / log_n)) + math.ceil(math.log2(c))
 
 
 def optc1_round(

@@ -4,10 +4,9 @@ A threshold tau over L-bit hash values is turned into a short list of
 prefix filters (strings over {0, 1, *}) that jointly match exactly the
 values in [0, tau].  Each filter becomes one Select command, and a
 command is its mask: the filter without its trailing stars, as a string
-of bits, MSB first.  A command costs the fixed C1G2 fields
-(SELECT_FIXED_BITS) plus its mask length.  Where the hash window starts
-is recorded per stage (`ImplRoundResult.coarse_seed`, `refine_seed`),
-not per command.
+of bits, MSB first.  A command costs the fixed C1G2 fields plus its mask
+length (`select_bits`).  Where the hash window starts is recorded per
+stage (`ImplRoundResult.coarse_seed`, `refine_seed`), not per command.
 """
 
 from __future__ import annotations
@@ -30,6 +29,11 @@ from .population import Population, ReadyTags
 # Target(3) + Action(3) + MemBank(2) + Pointer(16) + Length(8): every
 # field except the mask, charged at full width whatever its value
 SELECT_FIXED_BITS = 3 + 3 + 2 + 16 + 8
+
+
+def select_bits(mask_bits: int) -> int:
+    """Air-time of one Select command whose mask is `mask_bits` long."""
+    return SELECT_FIXED_BITS + mask_bits
 
 
 def selgen_commands(tau: int, width: int) -> list[str]:
@@ -72,7 +76,7 @@ def command_count(tau: int, width: int) -> int:
 
 def commands_bit_cost(masks: list[str]) -> int:
     """Air-time of the Select commands with these masks, in bits."""
-    return sum(SELECT_FIXED_BITS + len(m) for m in masks)
+    return sum(select_bits(len(m)) for m in masks)
 
 
 def best_threshold(sorted_values: list[int], c: int, width: int) -> int:

@@ -4,16 +4,19 @@ One `Tag` object per Selected tag, a scalar left-to-right frame scan, and
 the scalar tag-side rule, with seeds and frame lengths from the schedule in
 `rfid_sampler.protocol` and hashes from the scalar `hash_mod`.  The array
 `optc2_round` must match it frame by frame, and the vectorized
-`substring_values` must match `substring_hash` ID by ID.
+`substring_values` must match `substring_hash` ID by ID, on the (hi, lo)
+arrays that `halves` builds from Python-int IDs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from rfid_sampler.errors import ProtocolError
 from rfid_sampler.hashing import SeedSpec
-from rfid_sampler.population import ID_BITS
+from rfid_sampler.population import HALF_BITS, ID_BITS
 from rfid_sampler.protocol import default_iteration_cap, refine_frame_length, refine_seeds
 
 
@@ -24,6 +27,13 @@ class Tag:
     id: int
     state: str = "unacknowledged"  # then "selected", and "ready" or "unselected"
     cnt: int = 0
+
+
+def halves(ids: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """(high 48 bits, low 48 bits) uint64 arrays of Python-int IDs."""
+    hi = np.array([i >> HALF_BITS for i in ids], dtype=np.uint64)
+    lo = np.array([i & ((1 << HALF_BITS) - 1) for i in ids], dtype=np.uint64)
+    return hi, lo
 
 
 def substring_hash(id: int, seed: SeedSpec) -> int:

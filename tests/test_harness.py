@@ -59,6 +59,11 @@ class TestConfig:
         (point,) = load_config(_write(tmp_path, ALT_CONFIG))
         assert point.ns == [20, 30, 20, 30, 20, 30]
 
+    def test_absent_keys_take_the_scenario_defaults(self, tmp_path):
+        # trials, seed and protocols fall back to ScenarioConfig's own defaults
+        points = load_config(_write(tmp_path, "[bare]\nK = 2\nn = 20,30\nc = 4\n"))
+        assert points == [ScenarioConfig("bare", ns=[20, 30], cs=[4, 4])]
+
     def test_missing_key_rejected(self, tmp_path):
         with pytest.raises(ConfigurationError):
             load_config(_write(tmp_path, "[x]\nK = 2\nn = 5\n"))

@@ -17,14 +17,7 @@ from rfid_sampler.hashing import (
     suitable_from_count,
     suitable_upper,
 )
-from tag_oracle import hash_mod, substring_hash
-
-
-def _halves(ids):
-    """(high 48 bits, low 48 bits) uint64 arrays of Python-int IDs."""
-    hi = np.array([i >> 48 for i in ids], dtype=np.uint64)
-    lo = np.array([i & ((1 << 48) - 1) for i in ids], dtype=np.uint64)
-    return hi, lo
+from tag_oracle import halves, hash_mod, substring_hash
 
 
 def test_seed_spec_bounds():
@@ -38,16 +31,28 @@ def test_seed_spec_bounds():
 
 def test_seed_spec_builds_each_window_once():
     assert seed_spec(3, 5) is seed_spec(3, 5) == SeedSpec(3, 5)
+    assert seed_spec(3, 5).read is seed_spec(3, 5).read
     # an invalid window is rejected on every request, not cached
     for _ in range(2):
         with pytest.raises(ValueError):
             seed_spec(94, 4)
 
 
+def test_only_a_window_of_at_most_48_bits_is_read():
+    # a window up to 96 bits wide is a valid SeedSpec; reading one wider
+    # than a 48-bit half raises, on every request
+    hi, lo = halves([(1 << 96) - 1])
+    assert SeedSpec(1, 96).length == 96
+    wide = SeedSpec(1, 49)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="49 bits"):
+            substring_values(hi, lo, wide)
+
+
 def test_substring_hash_msb_first():
     # ID with bits 1..4 = 1011 and everything else zero
     tag_id = 0b1011 << 92
-    hi, lo = _halves([tag_id])
+    hi, lo = halves([tag_id])
     for seed, value in ((SeedSpec(1, 4), 0b1011), (SeedSpec(2, 3), 0b011), (SeedSpec(5, 4), 0)):
         assert substring_hash(tag_id, seed) == value
         assert substring_values(hi, lo, seed).tolist() == [value]
@@ -72,7 +77,7 @@ def test_vectorized_substring_matches_scalar(ids, start, length):
         if length > 48:
             return
     seed = SeedSpec(start=start, length=length)
-    hi, lo = _halves(ids)
+    hi, lo = halves(ids)
     vec = substring_values(hi, lo, seed)
     for tag_id, v in zip(ids, vec.tolist()):
         assert substring_hash(tag_id, seed) == v
@@ -84,7 +89,7 @@ def test_every_window_matches_the_scalar_hash():
     rng = np.random.default_rng(12)
     ids = [(1 << 96) - 1, int("10" * 48, 2), int("01" * 48, 2)]
     ids += [int(h) << 48 | int(l) for h, l in rng.integers(0, 1 << 48, size=(5, 2))]
-    hi, lo = _halves(ids)
+    hi, lo = halves(ids)
     for L in range(1, 49):
         for start in range(1, 98 - L):
             seed = SeedSpec(start, L)
@@ -105,7 +110,7 @@ def _ids_with_top_nibble(values):
 def _selected_count(ids, seed, c):
     """Tags whose hash mod n clears the coarse threshold, as the seed
     search counts them."""
-    hashes = substring_values(*_halves(ids), seed) % np.uint64(len(ids))
+    hashes = substring_values(*halves(ids), seed) % np.uint64(len(ids))
     return int((hashes <= selection_threshold(c)).sum())
 
 
@@ -173,7 +178,7 @@ def test_find_suitable_seed_deterministic():
     rng1 = np.random.default_rng(7)
     rng2 = np.random.default_rng(7)
     ids = [int(x) for x in np.random.default_rng(0).integers(0, 1 << 63, 200)]
-    hi, lo = _halves(ids)
+    hi, lo = halves(ids)
     pos1, st1 = find_suitable_seed(hi, lo, 10, rng=rng1)
     pos2, st2 = find_suitable_seed(hi, lo, 10, rng=rng2)
     assert st1.seed == st2.seed and st1.tests == st2.tests

@@ -26,18 +26,12 @@ from rfid_sampler.protocol import (
     tag_apply_frame,
 )
 from rfid_sampler.verify import sample_once
-from tag_oracle import hash_mod
+from tag_oracle import halves, hash_mod
 
 
 def _ids(n):
     rng = np.random.default_rng(1234)
     return [int(rng.integers(0, 1 << 62)) << 30 | i for i in range(n)]
-
-
-def _halves(ids):
-    hi = np.array([i >> 48 for i in ids], dtype=np.uint64)
-    lo = np.array([i & ((1 << 48) - 1) for i in ids], dtype=np.uint64)
-    return hi, lo
 
 
 def _apply(bits, slots, cnt=None):
@@ -107,7 +101,7 @@ class TestFrame:
             return ready, cnt
 
         monkeypatch.setattr(protocol, "tag_apply_frame", record)
-        out = optc2_round(_halves(_ids(60)), 40)
+        out = optc2_round(halves(_ids(60)), 40)
         assert len(calls) == out.iterations > 1
         assert calls[0][0] == 60
         for (size, promoted), (next_size, _) in zip(calls, calls[1:]):
@@ -118,11 +112,11 @@ class TestFrame:
 class TestCoarseStage:
     def test_selected_count_in_bounds(self):
         ids = _ids(300)
-        out = optc1_round(*_halves(ids), 20, np.random.default_rng(5))
+        out = optc1_round(*halves(ids), 20, np.random.default_rng(5))
         assert 20 <= len(out.positions) <= 20 + 6 * math.sqrt(20)
         # the Selected tags are exactly the tags whose hash under the
         # accepted seed clears the threshold
-        _, stats = find_suitable_seed(*_halves(ids), 20, rng=np.random.default_rng(5))
+        _, stats = find_suitable_seed(*halves(ids), 20, rng=np.random.default_rng(5))
         expected = [i for i, tag_id in enumerate(ids)
                     if hash_mod(tag_id, stats.seed, len(ids)) <= selection_threshold(20)]
         assert out.positions.tolist() == expected
@@ -134,7 +128,7 @@ class TestCoarseStage:
 
     def test_rejects_bad_c(self):
         with pytest.raises(ValueError):
-            optc1_round(*_halves(_ids(5)), 6, np.random.default_rng(0))
+            optc1_round(*halves(_ids(5)), 6, np.random.default_rng(0))
 
     def test_seed_exhaustion_raises(self):
         # every window of an all-zero ID hashes to 0, so each selects all
@@ -147,7 +141,7 @@ class TestCoarseStage:
         """The coarse stage reads IDs, not tags, so no tag carrying protocol
         state can enter it: it promotes nobody, hands over positions into
         the ID arrays, and leaves those arrays as they were."""
-        hi, lo = _halves(_ids(10))
+        hi, lo = halves(_ids(10))
         before = hi.copy(), lo.copy()
         out = optc1_round(hi, lo, 2, np.random.default_rng(0))
         assert not hasattr(out, "ready")
@@ -161,7 +155,7 @@ class TestCoarseStage:
 class TestRefineStage:
     def test_exactly_c_ready_with_orders(self):
         ids = _ids(30)
-        hi, lo = _halves(ids)
+        hi, lo = halves(ids)
         out = optc2_round((hi, lo), 12)
         assert len(out.ready) == 12
         assert [o for _, o in out.ready] == list(range(1, 13))
@@ -171,7 +165,7 @@ class TestRefineStage:
         assert halves_to_ids(hi[out.positions], lo[out.positions]) == [i for i, _ in out.ready]
 
     def test_input_unchanged_and_repeatable(self):
-        hi, lo = _halves(_ids(40))
+        hi, lo = halves(_ids(40))
         before = hi.copy(), lo.copy()
         first = optc2_round((hi, lo), 15)
         assert np.array_equal(hi, before[0]) and np.array_equal(lo, before[1])
@@ -182,7 +176,7 @@ class TestRefineStage:
             second.iterations, second.payload_bits, second.bits_sent)
 
     def test_cost_fields(self):
-        out = optc2_round(_halves(_ids(20)), 8)
+        out = optc2_round(halves(_ids(20)), 8)
         # no refinement header: the frames plus the one-bit stop broadcast
         assert out.bits_sent == out.payload_bits + 1
         assert out.payload_bits >= 8  # one set bit per promoted tag
@@ -210,7 +204,7 @@ class TestRefineStage:
         seed = next(refine_seeds(2))
         shift = 96 - (seed.start + seed.length - 1)
         ids = [(v << shift) | 1 for v in (7 * 11, 7 * 5 + 2, 7 * 3 + 5)]
-        out = optc2_round(_halves(ids), 2)
+        out = optc2_round(halves(ids), 2)
         assert out.iterations == 1
         assert out.payload_bits == 3  # bits 1, 0, 1; slots 3..6 never sent
         assert out.ready == [(ids[0], 1), (ids[1], 2)]
@@ -225,13 +219,13 @@ class TestRefineStage:
 
     def test_rejects_undersized_pool(self):
         with pytest.raises(ValueError):
-            optc2_round(_halves(_ids(3)), 4)
+            optc2_round(halves(_ids(3)), 4)
 
     @pytest.mark.parametrize("c", [0, -1])
     def test_rejects_non_positive_c(self, c):
         # the same check as the undersized pool, not a failure further in
         with pytest.raises(ValueError, match=r"need 1 <= c <= l"):
-            optc2_round(_halves(_ids(5)), c)
+            optc2_round(halves(_ids(5)), c)
 
     def test_counter_mismatch_raises(self, monkeypatch):
         def off_by_one(cnt, bits, slots):
@@ -240,12 +234,12 @@ class TestRefineStage:
 
         monkeypatch.setattr(protocol, "tag_apply_frame", off_by_one)
         with pytest.raises(ProtocolError, match="counter mismatch"):
-            optc2_round(_halves(_ids(16)), 8)
+            optc2_round(halves(_ids(16)), 8)
 
     def test_iteration_cap_raises(self, monkeypatch):
         monkeypatch.setattr(protocol, "default_iteration_cap", lambda c: 0)
         with pytest.raises(ProtocolError, match="did not converge within 0 iterations"):
-            optc2_round(_halves(_ids(16)), 8)
+            optc2_round(halves(_ids(16)), 8)
 
 
 @given(n=st.integers(2, 120), data=st.data())

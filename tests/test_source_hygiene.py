@@ -37,6 +37,19 @@ def _generator_builds(path: Path) -> list[str]:
     return hits
 
 
+def _private_imports(path: Path) -> list[str]:
+    """'file:line name' for each underscore-prefixed name `path` imports
+    from another package module."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level > 0 or (node.module or "").split(".")[0] == PACKAGE.name
+        ):
+            hits += [f"{path.name}:{node.lineno} {a.name}" for a in node.names if a.name.startswith("_")]
+    return hits
+
+
 def test_package_modules_use_every_name_they_import():
     # __init__.py imports names only to re-export them
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -48,3 +61,9 @@ def test_package_builds_generators_only_through_default_rng():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in _generator_builds(path)] == []
+
+
+def test_package_modules_import_no_private_name_from_each_other():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    assert [hit for path in modules for hit in _private_imports(path)] == []
