@@ -4,7 +4,7 @@ Any protocol that pins down c ordered samples per category must broadcast
 at least log2(e) * c bits per category.  The refinement stage's frame
 bits average about e * c, i.e. within e/log2(e) ~ 1.88 of the floor.  The
 refinement stage sends no header, so the full ledger adds only the coarse
-header (ceil(log2(96/log2 n)) + ceil(log2 c) bits) and one stop bit per
+header (`protocol.optc1_header_bits(n, c)` bits) and one stop bit per
 category.  Those fade as c grows.  The ratios measured at n = 100 and
 the acceptance bounds they are held to are recorded in README's
 "Acceptance status".

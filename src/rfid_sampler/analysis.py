@@ -106,8 +106,7 @@ def success_probability_approx(alpha: float, c: int) -> float:
     exact without-replacement probability."""
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"alpha must be in [0, 1), got {alpha}")
-    if c < 1:
-        raise ValueError(f"c must be >= 1, got {c}")
+    _check_c(c)
     return 1.0 - alpha**c
 
 

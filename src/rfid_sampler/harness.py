@@ -24,7 +24,15 @@ from .population import check_categories, check_population_cap, generate_populat
 from .protocol import run_optc
 from .selgen import run_optc_impl
 
-PROTOCOLS = ("optc", "optc-impl", "random-select")
+# protocol name -> (population, rng) -> reader-to-tag bits.  The key order is
+# each trial's rng spawn key, so entries are only ever appended.  A runner looks
+# up its protocol function in this module when called, so a wrapper that
+# replaces the module's name (as the benchmark's tracer does) sees every call.
+PROTOCOLS = {
+    "optc": lambda pop, rng: run_optc(pop, rng)[1].bits_reader_to_tag,
+    "optc-impl": lambda pop, rng: sum(r.bits for r in run_optc_impl(pop, rng)),
+    "random-select": lambda pop, rng: sum(r.bits for r in run_random_select(pop, rng)),
+}
 
 
 @dataclass
@@ -151,29 +159,22 @@ class ResultRow:
 CSV_COLUMNS = [f.name for f in fields(ResultRow)] + ["ratio"]
 
 
-def _trial_rng(root_seed: int, point_index: int, protocol: str, trial: int):
-    key = (point_index, PROTOCOLS.index(protocol), trial)
-    return np.random.default_rng(np.random.SeedSequence(root_seed, spawn_key=key))
+def trial_population(point: ScenarioConfig, point_index: int, protocol: str, trial: int):
+    """The population and rng of one trial, rebuilt from its coordinates:
+    the trial's rng stream draws the population seed first, and the protocol
+    runs on what is left of it."""
+    key = (point_index, list(PROTOCOLS).index(protocol), trial)  # ValueError if unknown
+    rng = np.random.default_rng(np.random.SeedSequence(point.rng_seed, spawn_key=key))
+    pop_seed = int(rng.integers(0, 2**63))
+    return generate_population(list(zip(point.ns, point.cs)), pop_seed), rng
 
 
 def run_trial(
     point: ScenarioConfig, point_index: int, protocol: str, trial: int
 ) -> ResultRow:
     """One independent simulation of one protocol at one scenario point."""
-    rng = _trial_rng(point.rng_seed, point_index, protocol, trial)
-    pop_seed = int(rng.integers(0, 2**63))
-    population = generate_population(list(zip(point.ns, point.cs)), pop_seed)
-
-    if protocol == "optc":
-        _, ledger = run_optc(population, rng)
-        bits = ledger.bits_reader_to_tag
-    elif protocol == "optc-impl":
-        results = run_optc_impl(population, rng)
-        bits = sum(r.bits for r in results)
-    else:  # random-select: _trial_rng has already rejected any other name
-        reports = run_random_select(population, rng)
-        bits = sum(r.bits for r in reports)
-
+    population, rng = trial_population(point, point_index, protocol, trial)
+    bits = PROTOCOLS[protocol](population, rng)
     lb_bits = lower_bound_bits(point.cs)
     return ResultRow(
         scenario=point.scenario_id,

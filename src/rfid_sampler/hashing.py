@@ -34,6 +34,9 @@ class SeedSpec:
         if not 1 <= self.start <= ID_BITS - self.length + 1:
             raise ValueError(f"start {self.start} out of range for length {self.length}")
 
+    def __reduce__(self):  # from the fields: a built `read` is a closure pickle cannot send
+        return SeedSpec, (self.start, self.length)
+
     @functools.cached_property
     def read(self):
         """(hi, lo) -> the window's values, with 0-d uint64 constants (faster than scalars)."""
@@ -151,16 +154,13 @@ def seed_trial_statistics(n: int, c: int, trials: int, rng_seed: int) -> dict:
     root = np.random.SeedSequence(rng_seed)
     streams = root.spawn(trials)
     tests_seen = []
-    first_ok = 0
     for ss in streams:
         rng = np.random.default_rng(ss)
         hi, lo = random_ids(n, rng)
         _, stats = find_suitable_seed(hi, lo, c, rng=rng)
         tests_seen.append(stats.tests)
-        if stats.tests == 1:
-            first_ok += 1
     return {
         "avg_tests": float(np.mean(tests_seen)),
         "most_tests": int(max(tests_seen)),
-        "suitable_fraction": first_ok / trials,
+        "suitable_fraction": tests_seen.count(1) / trials,
     }

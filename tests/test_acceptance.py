@@ -18,8 +18,8 @@ import math
 import statistics
 
 from deployments import deployment_shapes
-from rfid_sampler import generate_population, mu, reliability_number, rho, transmission_time
-from rfid_sampler.harness import ScenarioConfig, _trial_rng, run_trial
+from rfid_sampler import mu, reliability_number, rho, transmission_time
+from rfid_sampler.harness import ScenarioConfig, run_trial, trial_population
 from rfid_sampler.analysis import LOG2_E, lower_bound_bits
 from rfid_sampler.protocol import optc1_header_bits, run_optc
 from rfid_sampler.selgen import command_budget, run_optc_impl
@@ -84,8 +84,7 @@ def test_criterion_5_near_optimality():
                 cs=[c] * K, trials=3, rng_seed=505,
             )
             for trial in range(point.trials):
-                rng = _trial_rng(point.rng_seed, K, "optc", trial)
-                pop = generate_population(list(zip(point.ns, point.cs)), int(rng.integers(0, 2**63)))
+                pop, rng = trial_population(point, K, "optc", trial)
                 _, ledger = run_optc(pop, rng)
                 lb = transmission_time(lower_bound_bits(point.cs))
                 ratios.append(transmission_time(ledger.bits_reader_to_tag) / lb)
@@ -132,10 +131,7 @@ def test_criterion_8_command_budget():
         for i, point in enumerate(points):
             budget = sum(command_budget(c) for c in point.cs)
             for trial in range(trials):
-                rng = _trial_rng(point.rng_seed, i, "optc-impl", trial)
-                pop = generate_population(
-                    list(zip(point.ns, point.cs)), int(rng.integers(0, 2**63))
-                )
+                pop, rng = trial_population(point, i, "optc-impl", trial)
                 results = run_optc_impl(pop, rng)
                 commands = sum(len(r.commands) for r in results)
                 bits = sum(r.bits for r in results)

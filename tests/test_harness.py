@@ -9,15 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfid_sampler import (
-    ConfigurationError, cli, load_config, population, reliability_number, selgen_commands,
+    ConfigurationError, cli, harness, load_config, population, reliability_number, selgen_commands,
 )
 from rfid_sampler.cli import main
 from rfid_sampler.harness import (
     CSV_COLUMNS,
+    PROTOCOLS,
     ScenarioConfig,
     aggregate,
     run_points,
     run_scenarios,
+    run_trial,
+    trial_population,
 )
 from deployments import deployment_shapes
 
@@ -137,6 +140,35 @@ class TestResults:
         assert [(r.protocol, r.sum_n, r.sum_c) for r in rows[:2]] == [
             ("optc-impl", 200, 16), ("random-select", 200, 16)]
         assert len(rows) == 10 and all(r.ratio > 1.0 for r in rows)
+
+
+class TestTrials:
+    POINT = ScenarioConfig("t", ns=[20, 30], cs=[4, 6], rng_seed=11, protocols=tuple(PROTOCOLS))
+
+    def test_a_trial_is_rebuilt_from_its_coordinates(self):
+        a, rng_a = trial_population(self.POINT, 1, "optc-impl", 2)
+        b, rng_b = trial_population(self.POINT, 1, "optc-impl", 2)
+        for name in ("hi", "lo", "offsets", "cs"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+        assert rng_a.integers(2**63) == rng_b.integers(2**63)
+        other, _ = trial_population(self.POINT, 1, "random-select", 2)
+        assert not np.array_equal(other.hi, a.hi)
+
+    def test_protocol_order(self):
+        # a protocol's position is its trials' rng spawn key: append, never reorder
+        assert list(PROTOCOLS) == ["optc", "optc-impl", "random-select"]
+
+    def test_runner_calls_the_protocol_through_the_harness_name(self, monkeypatch):
+        # the benchmark's tracer replaces `harness.run_optc_impl` the same way
+        expected = run_trial(self.POINT, 0, "optc-impl", 0)
+        calls, original = [], harness.run_optc_impl
+        monkeypatch.setattr(harness, "run_optc_impl", lambda *a: calls.append(a) or original(*a))
+        assert run_trial(self.POINT, 0, "optc-impl", 0) == expected
+        assert len(calls) == 1
+
+    def test_unknown_protocol_raises(self):
+        with pytest.raises(ValueError):
+            run_trial(self.POINT, 0, "teleport", 0)
 
 
 class TestReports:

@@ -1,11 +1,12 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rfid_sampler import SeedSpec, find_suitable_seed, hashing
+from rfid_sampler import SeedSpec, find_suitable_seed, generate_population, hashing, run_optc_impl
 from rfid_sampler.errors import ProtocolError
 from rfid_sampler.hashing import (
     mod_hash_width,
@@ -36,6 +37,19 @@ def test_seed_spec_builds_each_window_once():
     for _ in range(2):
         with pytest.raises(ValueError):
             seed_spec(94, 4)
+
+
+def test_a_read_window_and_the_results_holding_windows_pickle():
+    # a built `read` is a closure; pickling must rebuild the window from its fields
+    hi, lo = halves([0x0123_4567_89AB_CDEF_0123_4567, (1 << 96) - 1])
+    window = seed_spec(3, 5)
+    values = substring_values(hi, lo, window).tolist()
+    copy = pickle.loads(pickle.dumps(window))
+    assert copy == window and substring_values(hi, lo, copy).tolist() == values
+    pop = generate_population([(25, 6), (40, 9)], rng_seed=5)
+    results = run_optc_impl(pop, np.random.default_rng(3))  # each holds two read windows
+    copies = pickle.loads(pickle.dumps(results))
+    assert [r.ready for r in copies] == [r.ready for r in results]
 
 
 def test_only_a_window_of_at_most_48_bits_is_read():

@@ -50,6 +50,36 @@ def _private_imports(path: Path) -> list[str]:
     return hits
 
 
+def _private_definitions(path: Path) -> list[tuple[str, str]]:
+    """('file:line name', name) for each top-level private name (`_x`, not a
+    dunder) that `path` defines by def, class or assignment."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    hits = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        hits += [(f"{path.name}:{node.lineno} {name}", name) for name in names
+                 if name.startswith("_") and not name.startswith("__")]
+    return hits
+
+
+def _names_read(path: Path) -> set[str]:
+    """Every name `path` loads, bare or as an attribute."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
 def test_package_modules_use_every_name_they_import():
     # __init__.py imports names only to re-export them
     modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -67,3 +97,10 @@ def test_package_modules_import_no_private_name_from_each_other():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     assert [hit for path in modules for hit in _private_imports(path)] == []
+
+
+def test_package_modules_read_every_private_name_they_define():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert modules
+    read = set().union(*map(_names_read, modules))
+    assert [hit for path in modules for hit, name in _private_definitions(path) if name not in read] == []
