@@ -20,9 +20,8 @@ from .errors import ConfigurationError, ProtocolError
 from .hashing import (
     SeedSpec,
     seed_windows,
-    selection_threshold,
     substring_values,
-    suitable_from_count,
+    suitable_upper,
 )
 from .population import Population, ReadyTags
 
@@ -79,18 +78,18 @@ def commands_bit_cost(masks: list[str]) -> int:
     return sum(select_bits(len(m)) for m in masks)
 
 
-def best_threshold(sorted_values: list[int], c: int, width: int) -> int:
-    """Cheapest tau that selects exactly the c smallest hash values.
+def best_threshold(lo: int, hi: int, width: int) -> int:
+    """Cheapest tau in [lo, hi]: the one needing the fewest Select commands
+    (ties: smallest tau).
 
-    Any tau in [v_c, v_{c+1} - 1] selects the same set, so pick the one
-    needing the fewest Select commands (ties: smallest tau).  Only lo and,
-    for each j, the smallest tau >= lo ending in j ones can win: any other
-    tau costs more than the one whose j indexes (from 0) the highest bit
-    where tau and lo differ.  These candidates ascend with j, so the scan
-    stops at the first one past hi.
+    Each stage calls it with the range of thresholds that select what it
+    needs, so every tau in [lo, hi] selects the same tags (stage two) or a
+    suitable count of them (stage one).  Only lo and, for each j, the
+    smallest tau >= lo ending in j ones can win: any other tau costs more
+    than the one whose j indexes (from 0) the highest bit where tau and lo
+    differ.  These candidates ascend with j, so the scan stops at the first
+    one past hi.
     """
-    lo = sorted_values[c - 1]
-    hi = sorted_values[c] - 1 if c < len(sorted_values) else (1 << width) - 1
     best, best_cost = lo, command_count(lo, width)
     for j in range(1, width + 1):
         tau = ((lo >> j) + 1 << j) - 1
@@ -107,7 +106,7 @@ class ImplRoundResult(ReadyTags):
     """Per-category record of one full run on the Select-command realization."""
 
     coarse_seed: SeedSpec
-    coarse_redraws: int
+    coarse_redraws: int  # windows drawn until one leaves a tau keeping c..c + 6*sqrt(c) tags
     refine_seed: SeedSpec
     refine_redraws: int
     tau_coarse: int
@@ -119,12 +118,6 @@ class ImplRoundResult(ReadyTags):
         return commands_bit_cost(self.commands)
 
 
-def scaled_coarse_threshold(n: int, c: int, width: int) -> int:
-    """Map the mod-n threshold c + 3*sqrt(c) onto the raw L-bit hash range."""
-    tau = math.ceil(selection_threshold(c) * (1 << width) / n)
-    return min(tau, (1 << width) - 1)
-
-
 def run_impl_category(
     hi: np.ndarray,
     lo: np.ndarray,
@@ -134,10 +127,13 @@ def run_impl_category(
     """Both stages for one category, given its tags' ID halves (hi, lo),
     returning the full command transcript.
 
-    Stage one redraws the hash window until the number of tags under the
-    coarse threshold is in [c, c + 6*sqrt(c)].  Stage two redraws a wider
-    window until the c smallest raw hashes are distinct and separated
-    from the (c+1)-th, then selects them with a threshold filter set.
+    Stage one draws a hash window and sends the cheapest threshold that
+    keeps between c and c + 6*sqrt(c) tags: any tau from the c-th smallest
+    raw hash up to just below the (floor(c + 6*sqrt(c)) + 1)-th does.  It
+    draws another window only when ties leave no such tau.  Stage two
+    redraws a wider window until the c smallest raw hashes are distinct and
+    separated from the (c+1)-th, then selects them with the cheapest
+    threshold between the two.
     """
     n = len(hi)
     if not 1 <= c <= n:
@@ -145,14 +141,22 @@ def run_impl_category(
 
     # stage one: coarse selection by threshold on an L1-bit raw hash
     L1 = max(1, math.ceil(math.log2(n)))
-    tau1 = scaled_coarse_threshold(n, c, L1)
-    below = np.array(tau1, dtype=np.uint64)  # 0-d operands are faster than scalars
+    top = math.floor(suitable_upper(c))  # the most tags stage one may keep
     for redraws1, coarse_seed in enumerate(seed_windows(L1, rng), start=1):
-        mask = substring_values(hi, lo, coarse_seed) <= below
-        if suitable_from_count(int(np.count_nonzero(mask)), c):
+        vals = substring_values(hi, lo, coarse_seed)
+        part = vals.copy()  # the method on a copy skips np.partition's dispatch cost
+        part.partition((c - 1, min(top, n - 1)))
+        lo1 = int(part[c - 1])
+        hi1 = int(part[top]) - 1 if top < n else (1 << L1) - 1
+        if lo1 <= hi1:
             break
     else:
         raise ProtocolError(f"no coarse hash window suits n={n}, c={c}")
+
+    tau1 = best_threshold(lo1, hi1, L1)
+    if not lo1 <= tau1 <= hi1:
+        raise ProtocolError(f"threshold {tau1} does not keep c={c} to {top} of n={n} tags")
+    mask = vals <= np.array(tau1, dtype=np.uint64)  # 0-d operands are faster than scalars
     cmds = selgen_commands(tau1, L1)
 
     # stage two: exact selection among the l survivors
@@ -170,8 +174,9 @@ def run_impl_category(
     else:
         raise ProtocolError(f"no refine hash window separates c={c} of l={l} tags")
 
-    tau2 = best_threshold(head, c, L2)
-    if not (head[c - 1] <= tau2 and (c == l or head[c] > tau2)):
+    lo2, hi2 = head[c - 1], head[c] - 1 if c < l else (1 << L2) - 1
+    tau2 = best_threshold(lo2, hi2, L2)
+    if not lo2 <= tau2 <= hi2:
         raise ProtocolError(f"threshold {tau2} does not pick exactly c={c} of l={l} tags")
     cmds += selgen_commands(tau2, L2)
 

@@ -199,8 +199,9 @@ def test_run_impl_category_calls_each_timed_step(monkeypatch):
     for spec in pop.categories:
         calls.clear()
         run_impl_category(*pop.halves(spec.k), spec.c, rng)
+        # one threshold and one command set per stage
         assert sorted(name for name, _, _ in calls) == [
-            "best_threshold", "selgen_commands", "selgen_commands"
+            "best_threshold", "best_threshold", "selgen_commands", "selgen_commands"
         ]
 
 

@@ -36,14 +36,14 @@ seed = 5
 protocols = optc, optc-impl, random-select
 """
 
-SIMULATE_CSV_SHA256 = "d5c3a445dac846a6271aa1acfa1aefb57f8682cb1b8a6de5db247a57239e7639"
-SIMULATE_JSON_SHA256 = "7a490cc00e2853acfbccb02f03937e5c988f43409f3c6e2d5e37c254bb216df3"
+SIMULATE_CSV_SHA256 = "3d653ff6d79bd063690794f32f02ed752d9709e8307eb053e63795d0be7ab565"
+SIMULATE_JSON_SHA256 = "5b42879473036cad31f2369d36eb1a2d0a9b46150056953950857be0c338ca2f"
 SAMPLE_ONCE_SHA256 = "1404132068085e02c7739be059f1a53b73909a8038f179502fce637ae7eb3571"
 # one digest per part, so a failure names the part that moved
 SAMPLED_IDS_SHA256 = {
     "ids": "bec2565d43f3de2046facaa41d0c85be900c11731b9679d0fbc3c52814026f3a",
     "optc": "811160a06b594aefdce3a0d978cc0eb10ee5e5316e654bf873bb5bd94153539f",
-    "optc-impl": "2a407a0fd6d02ff6a90bed8044e1a2eca1b58758d337262de87b380191cbdf1e",
+    "optc-impl": "fd38aa7c6433adeddf6722b87024b0a94a0e61ec403430ce77596829fb9e29f9",
     # random-select picks rows, so its IDs follow each category's row order
     # (draw order); the other parts depend only on the categories' ID sets
     "random-select": "89cf9135f0b09e53131a533b3adf73b7e817a360e93676c771303e66fd9ee763",

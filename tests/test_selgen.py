@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,15 +19,14 @@ from rfid_sampler import (
     selgen_commands,
     selgen_filters,
 )
-from rfid_sampler.population import halves_to_ids
+from rfid_sampler.population import HALF_BITS, halves_to_ids, random_ids
 from rfid_sampler.selgen import (
     SELECT_FIXED_BITS,
     command_budget,
     commands_bit_cost,
     run_impl_category,
-    scaled_coarse_threshold,
 )
-from rfid_sampler.verify import _filter_interval
+from rfid_sampler.verify import CHI2_CRITICAL, _filter_interval
 
 
 class TestFilterGeneration:
@@ -96,25 +97,18 @@ class TestSelectEncoding:
 
 
 class TestThresholdChoice:
-    def test_scaled_threshold_tracks_expected_count(self):
-        # n tags hashed to 2^width values: tau keeps roughly c + 3*sqrt(c)
-        tau = scaled_coarse_threshold(n=20, c=5, width=5)
-        assert tau == math.ceil((5 + 3 * math.sqrt(5)) * 32 / 20)
-
-    def test_scaled_threshold_clamped(self):
-        assert scaled_coarse_threshold(n=10, c=4, width=4) == 15
-
     def test_best_threshold_equal_selection(self):
         values = [1, 3, 6, 12, 13]
         width = 4
         for c in (1, 2, 3, 4, 5):
-            tau = best_threshold(values, c, width)
+            hi = values[c] - 1 if c < len(values) else (1 << width) - 1
+            tau = best_threshold(values[c - 1], hi, width)
             assert sum(v <= tau for v in values) == c
 
     def test_best_threshold_prefers_cheap_tau(self):
         # any tau in [6, 11] selects three values; 7 (0111) needs 2 commands
         values = [1, 3, 6, 12, 13]
-        tau = best_threshold(values, 3, 4)
+        tau = best_threshold(values[2], values[3] - 1, 4)
         assert command_count(tau, 4) == min(
             command_count(t, 4) for t in range(6, 12)
         )
@@ -130,12 +124,10 @@ class TestThresholdChoice:
         for width in range(1, 8):
             top = (1 << width) - 1
             for lo in range(top + 1):
-                # hi = top (the all-ones tau, which costs 2) when c is the last value
-                assert best_threshold([lo], 1, width) == cheapest_by_scan(lo, top, width)
+                # hi = top admits the all-ones tau, which costs 2
+                assert best_threshold(lo, top, width) == cheapest_by_scan(lo, top, width)
                 for hi in range(lo, top):
-                    assert best_threshold([lo, hi + 1], 1, width) == cheapest_by_scan(
-                        lo, hi, width
-                    )
+                    assert best_threshold(lo, hi, width) == cheapest_by_scan(lo, hi, width)
 
 
 class TestImplementation:
@@ -165,23 +157,54 @@ class TestImplementation:
 
     def test_transcript_replays_from_its_own_fields(self):
         # each category's result explains itself: its seeds and thresholds
-        # rebuild the pool, the commands and the picked rows
+        # rebuild the pool, the commands and the picked rows, and each
+        # stage's masks, matched on the ID bits at that stage's window
+        # start, select exactly the pool and then exactly the picked rows
         from tag_oracle import substring_hash
 
-        pop = generate_population([(1, 1), (6, 6), (25, 6), (300, 20)], rng_seed=41)
+        def matched(ids, masks, seed):
+            at = seed.start - 1
+            return [i for i in ids if any(format(i, "096b")[at:at + len(m)] == m for m in masks)]
+
+        # c = n and n = 1 first, then enough categories that some window
+        # crosses bit 48 and some tau ends in ones
+        shapes = [(1, 1), (6, 6), (25, 6), (300, 20)] + [(40, 5)] * 12
+        pop = generate_population(shapes, rng_seed=41)
+        crossed = ones = False
         for spec, res in zip(pop.categories, run_optc_impl(pop, np.random.default_rng(12))):
             ids = [t.id for t in category_tags(pop, spec.k)]
             pool = [i for i in ids if substring_hash(i, res.coarse_seed) <= res.tau_coarse]
             assert halves_to_ids(*res.pool) == pool
-            assert res.commands == (
-                selgen_commands(res.tau_coarse, res.coarse_seed.length)
-                + selgen_commands(res.tau_refine, res.refine_seed.length)
-            )
+            coarse = selgen_commands(res.tau_coarse, res.coarse_seed.length)
+            refine = selgen_commands(res.tau_refine, res.refine_seed.length)
+            assert res.commands == coarse + refine
             picked = [
                 row for row, i in enumerate(pool)
                 if substring_hash(i, res.refine_seed) <= res.tau_refine
             ]
             assert picked == sorted(res.positions.tolist())
+            assert matched(ids, coarse, res.coarse_seed) == pool
+            assert matched(pool, refine, res.refine_seed) == [pool[row] for row in picked]
+            for seed, tau in ((res.coarse_seed, res.tau_coarse), (res.refine_seed, res.tau_refine)):
+                crossed |= seed.start <= HALF_BITS < seed.start + seed.length - 1
+                ones |= tau & 1 == 1
+        assert crossed and ones
+
+    def test_uniform_over_random_populations(self):
+        # stage one's tau depends on the drawn hashes; over fresh random
+        # populations of 6 tags, every 2-subset must stay equally likely
+        n, c, trials = 6, 2, 30_000
+        rng = np.random.default_rng(np.random.SeedSequence(24))
+        counts = Counter()
+        for _ in range(trials):
+            hi, lo = random_ids(n, rng)
+            ids = halves_to_ids(hi, lo)
+            res = run_impl_category(hi, lo, c, rng)
+            counts[tuple(sorted(ids.index(tid) for tid, _ in res.ready))] += 1
+        expected = trials / math.comb(n, c)
+        stat = sum((counts[pair] - expected) ** 2 / expected
+                   for pair in itertools.combinations(range(n), c))
+        assert stat <= CHI2_CRITICAL, f"chi-square {stat:.2f} over the 15 pairs"
 
     def test_command_budget_on_small_scenarios(self):
         rng = np.random.default_rng(11)
@@ -213,9 +236,26 @@ class TestImplementation:
         with pytest.raises(ProtocolError, match="no refine hash window separates c=1 of l=2"):
             run_impl_category(hi, lo, 1, np.random.default_rng(0))
 
-    def test_threshold_picking_other_than_c_raises(self, monkeypatch):
-        # a threshold just under the c-th smallest value picks c - 1 tags
-        monkeypatch.setattr(selgen, "best_threshold", lambda vals, c, width: vals[c - 1] - 1)
+    @staticmethod
+    def _off_by_one_on_call(monkeypatch, call):
+        # best_threshold returns lo - 1 on the given call only: one value
+        # below the stage's range, so too few tags are kept
+        real, calls = selgen.best_threshold, []
+
+        def patched(lo, hi, width):
+            calls.append(lo)
+            return lo - 1 if len(calls) == call else real(lo, hi, width)
+
+        monkeypatch.setattr(selgen, "best_threshold", patched)
+
+    def test_coarse_threshold_keeping_fewer_than_c_raises(self, monkeypatch):
+        self._off_by_one_on_call(monkeypatch, 1)
+        pop = generate_population([(25, 6)], rng_seed=17)
+        with pytest.raises(ProtocolError, match="does not keep c=6 to 20 of n=25"):
+            run_impl_category(*pop.halves(1), 6, np.random.default_rng(4))
+
+    def test_refine_threshold_picking_other_than_c_raises(self, monkeypatch):
+        self._off_by_one_on_call(monkeypatch, 2)
         pop = generate_population([(25, 6)], rng_seed=17)
         with pytest.raises(ProtocolError, match="does not pick exactly c=6"):
             run_impl_category(*pop.halves(1), 6, np.random.default_rng(4))
