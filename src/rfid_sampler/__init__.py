@@ -28,8 +28,6 @@ from .harness import (
 from .population import (
     Category,
     Population,
-    Tag,
-    category_tags,
     generate_population,
 )
 from .protocol import (

@@ -23,14 +23,14 @@ from .population import HALF_BITS, ID_BITS, random_ids
 
 @dataclass(frozen=True)
 class SeedSpec:
-    """L-bit substring window starting at 1-based bit index `start`."""
+    """L-bit substring window, 1 <= L <= 48, starting at 1-based bit index `start`."""
 
     start: int
     length: int
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError(f"substring length must be >= 1, got {self.length}")
+        if not 1 <= self.length <= HALF_BITS:
+            raise ValueError(f"substring length must be 1..{HALF_BITS}, got {self.length}")
         if not 1 <= self.start <= ID_BITS - self.length + 1:
             raise ValueError(f"start {self.start} out of range for length {self.length}")
 
@@ -40,8 +40,6 @@ class SeedSpec:
     @functools.cached_property
     def read(self):
         """(hi, lo) -> the window's values, with 0-d uint64 constants (faster than scalars)."""
-        if self.length > HALF_BITS:
-            raise ValueError(f"a window of {self.length} bits is wider than a {HALF_BITS}-bit half")
         end = self.start + self.length - 1
         mask = np.array((1 << self.length) - 1, dtype=np.uint64)
         # the window's last bit lies (96 - end) mod 48 bits above its half's bottom

@@ -202,9 +202,3 @@ def run_optc_impl(
     return [
         run_impl_category(cat.hi, cat.lo, cat.c, rng) for cat in population.categories
     ]
-
-
-def command_budget(c: int) -> int:
-    """Per-category bound on Select commands: both stages pay at most
-    ceil(log2 tau) + 1 each, with tau of order c."""
-    return 3 * math.ceil(math.log2(c)) + 3

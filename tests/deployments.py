@@ -1,4 +1,7 @@
-"""The three small-testbed deployment shapes, one list of scenario points each."""
+"""The three small-testbed deployment shapes, one list of scenario points
+each, and the Select-command budget that optc-impl is held to on them."""
+
+import math
 
 from rfid_sampler.harness import ScenarioConfig
 
@@ -16,3 +19,9 @@ def deployment_shapes(trials: int, seed: int) -> list[list[ScenarioConfig]]:
                         protocols=("optc-impl", "random-select")) for sid, ns, cs in shape]
         for shape in shapes
     ]
+
+
+def command_budget(c: int) -> int:
+    """Per-category bound on Select commands: both stages pay at most
+    ceil(log2 tau) + 1 each, with tau of order c."""
+    return 3 * math.ceil(math.log2(c)) + 3

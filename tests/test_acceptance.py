@@ -17,12 +17,12 @@ a refinement stage that paid a header per iteration measures 4.63 and fails.
 import math
 import statistics
 
-from deployments import deployment_shapes
+from deployments import command_budget, deployment_shapes
 from rfid_sampler import mu, reliability_number, rho, transmission_time
 from rfid_sampler.harness import ScenarioConfig, run_trial, trial_population
 from rfid_sampler.analysis import LOG2_E, lower_bound_bits
 from rfid_sampler.protocol import optc1_header_bits, run_optc
-from rfid_sampler.selgen import command_budget, run_optc_impl
+from rfid_sampler.selgen import run_optc_impl
 from rfid_sampler.verify import (
     suite_cost,
     suite_exactness,

@@ -1,7 +1,8 @@
 import numpy as np
 
-from rfid_sampler import category_tags, generate_population, run_random_select
+from rfid_sampler import generate_population, run_random_select
 from rfid_sampler.baselines import naive_threshold_bits
+from rfid_sampler.population import halves_to_ids
 from rfid_sampler.selgen import SELECT_FIXED_BITS, commands_bit_cost, selgen_commands
 
 
@@ -12,7 +13,7 @@ def test_random_select_counts_and_cost():
     assert [r.bits for r in reports] == [5 * (SELECT_FIXED_BITS + 96), 7 * (SELECT_FIXED_BITS + 96)]
     for spec, report in zip(pop.categories, reports):
         assert sorted(o for _, o in report.ready) == list(range(1, spec.c + 1))
-        members = {t.id for t in category_tags(pop, spec.k)}
+        members = set(halves_to_ids(spec.hi, spec.lo))
         assert {tid for tid, _ in report.ready} <= members
     ready = {tid for report in reports for tid, _ in report.ready}
     assert len(ready) == 12

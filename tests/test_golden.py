@@ -11,9 +11,10 @@ import json
 
 import numpy as np
 
-from rfid_sampler import category_tags, generate_population
+from rfid_sampler import generate_population
 from rfid_sampler.baselines import run_random_select
 from rfid_sampler.harness import run_scenarios
+from rfid_sampler.population import halves_to_ids
 from rfid_sampler.protocol import run_optc
 from rfid_sampler.selgen import run_optc_impl
 from rfid_sampler.verify import sample_once
@@ -81,7 +82,7 @@ def test_population_and_sampled_ids_digest():
     impl = run_optc_impl(pop, np.random.default_rng(2))
     baseline = run_random_select(pop, np.random.default_rng(3))
     record = {
-        "ids": [sorted(t.id for t in category_tags(pop, s.k)) for s in pop.categories],
+        "ids": [sorted(halves_to_ids(s.hi, s.lo)) for s in pop.categories],
         "optc": [out.ready for out in optc],
         "optc-impl": [res.ready for res in impl],
         "random-select": [rep.ready for rep in baseline],

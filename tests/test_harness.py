@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rfid_sampler import (
-    ConfigurationError, cli, harness, load_config, population, reliability_number, selgen_commands,
+    ConfigurationError, cli, harness, load_config, population, protocol, reliability_number,
+    selgen_commands, verify,
 )
 from rfid_sampler.cli import main
 from rfid_sampler.harness import (
@@ -254,6 +255,13 @@ class TestCli:
         assert main(["simulate", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
         assert capsys.readouterr().err.startswith("protocol failure: no suitable seed")
 
+    def test_iteration_cap_exits_3(self, tmp_path, monkeypatch, capsys):
+        # a cap of 0 leaves refinement no iteration to converge in
+        monkeypatch.setattr(protocol, "default_iteration_cap", lambda c: 0)
+        config = _write(tmp_path, "[x]\nK = 1\nn = 100\nc = 5\nprotocols = optc\n")
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "o.csv")]) == 3
+        assert capsys.readouterr().err.startswith("protocol failure: refinement did not converge")
+
     def test_unwritable_output_exits_3(self, tmp_path, capsys):
         argv = ["simulate", "--config", _write(tmp_path, GOOD_CONFIG),
                 "--out", str(tmp_path / "missing-dir" / "o.csv")]
@@ -264,6 +272,16 @@ class TestCli:
         assert main(["verify", "exactness", "--fast"]) == 0
         out = capsys.readouterr().out
         assert "in 300 rounds" in out and "[FAIL]" not in out
+
+    def test_verify_failure_exits_4(self, monkeypatch, capsys):
+        # a sampler that returns tag n, outside the category, every time
+        def bad_sampler(n, c, rng):
+            return [(n, order) for order in range(1, c + 1)]
+
+        monkeypatch.setattr(verify, "sample_once", bad_sampler)
+        assert main(["verify", "exactness", "--fast"]) == 4
+        out = capsys.readouterr().out
+        assert "[FAIL] exactness/rounds:" in out and "0/1 checks passed" in out
 
     def test_verify_fast_monotone(self, capsys):
         assert main(["verify", "monotone"]) == 0

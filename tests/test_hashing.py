@@ -22,7 +22,8 @@ from tag_oracle import halves, hash_mod, substring_hash
 
 
 def test_seed_spec_bounds():
-    SeedSpec(start=1, length=96)
+    SeedSpec(start=1, length=48)
+    SeedSpec(start=49, length=48)
     SeedSpec(start=96, length=1)
     with pytest.raises(ValueError):
         SeedSpec(start=0, length=4)
@@ -53,14 +54,13 @@ def test_a_read_window_and_the_results_holding_windows_pickle():
 
 
 def test_only_a_window_of_at_most_48_bits_is_read():
-    # a window up to 96 bits wide is a valid SeedSpec; reading one wider
-    # than a 48-bit half raises, on every request
-    hi, lo = halves([(1 << 96) - 1])
-    assert SeedSpec(1, 96).length == 96
-    wide = SeedSpec(1, 49)
+    # a window wider than a 48-bit half is rejected when it is built, on
+    # every request, so every SeedSpec is one that `read` can read
     for _ in range(2):
-        with pytest.raises(ValueError, match="49 bits"):
-            substring_values(hi, lo, wide)
+        with pytest.raises(ValueError, match="got 49"):
+            SeedSpec(1, 49)
+        with pytest.raises(ValueError, match="got 96"):
+            seed_spec(1, 96)
 
 
 def test_substring_hash_msb_first():
@@ -152,11 +152,11 @@ def test_seed_windows_follow_the_permutation():
     # draw i of rng.permutation(97 - L) is the window starting at i + 1
     # whenever no start reaches bit 81 (every OPT-C width, L >= 17), and
     # for every L each window comes up exactly once
-    for L in (17, 23, 48, 96):
+    for L in (17, 23, 48):
         draws = list(seed_windows(L, np.random.default_rng(L)))
         perm = np.random.default_rng(L).permutation(97 - L).tolist()
         assert [s.start for s in draws] == [i + 1 for i in perm]
-    for L in (1, 4, 16, 17, 48, 96):
+    for L in (1, 4, 16, 17, 48):
         draws = list(seed_windows(L, np.random.default_rng(L)))
         assert sorted(s.start for s in draws) == list(range(1, 97 - L + 1))
         assert {s.length for s in draws} == {L}
@@ -174,7 +174,7 @@ def test_selgen_relabel_keeps_the_cots_first_order():
     assert cots_first_starts(10)[:7] == list(range(81, 88))
     assert cots_first_starts(16) == [81] + list(range(1, 81))
     assert cots_first_starts(17) == list(range(1, 81))
-    for L in range(1, 97):
+    for L in range(1, 49):
         starts = cots_first_starts(L)
         draws = list(seed_windows(L, np.random.default_rng(L)))
         perm = np.random.default_rng(L).permutation(97 - L).tolist()

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rfid_sampler import ConfigurationError, category_tags, generate_population
+from rfid_sampler import ConfigurationError, generate_population
 from rfid_sampler.baselines import run_random_select
 from rfid_sampler.population import (
     Population, _first_occurrences, check_categories, halves_to_ids, random_ids,
@@ -15,8 +15,8 @@ def test_sizes_and_partition():
     assert [s.n for s in pop.categories] == [10, 25]
     assert [s.c for s in pop.categories] == [3, 5]
     assert pop.cs.tolist() == [3, 5] and np.diff(pop.offsets).tolist() == [10, 25]
-    assert len(category_tags(pop, 1)) == 10
-    assert len(category_tags(pop, 2)) == 25
+    assert len(halves_to_ids(*pop.halves(1))) == 10
+    assert len(halves_to_ids(*pop.halves(2))) == 25
     assert pop.offsets.tolist() == [0, 10, 35]
     assert len(pop.hi) == len(pop.lo) == 35
     # each category's halves are views of the population's arrays
@@ -29,7 +29,7 @@ def test_sizes_and_partition():
 
 def test_ids_unique_and_96_bit():
     pop = generate_population([(500, 1)], rng_seed=3)
-    ids = [t.id for t in category_tags(pop, 1)]
+    ids = halves_to_ids(*pop.halves(1))
     assert len(set(ids)) == len(ids) == 500
     assert all(0 <= i < (1 << 96) for i in ids)
     assert pop.hi.dtype == pop.lo.dtype == np.uint64
@@ -48,7 +48,7 @@ def test_unknown_category_raises():
     pop = generate_population([(5, 1)], rng_seed=0)
     for k in (7, 2, 0, -1):
         with pytest.raises(KeyError, match=f"no category {k}"):
-            category_tags(pop, k)
+            pop.halves(k)
 
 
 @pytest.mark.parametrize("sizes", [[(3, 4)], [(0, 0)], [], [(2.5, 1)], [(5, 1.5)], [("5", 2)]])
@@ -161,7 +161,7 @@ def test_population_matches_reference_loop():
     ref = _reference_ids(370, np.random.default_rng(np.random.SeedSequence(123)))
     pos = 0
     for spec in pop.categories:
-        assert [t.id for t in category_tags(pop, spec.k)] == ref[pos:pos + spec.n]
+        assert halves_to_ids(spec.hi, spec.lo) == ref[pos:pos + spec.n]
         pos += spec.n
 
 

@@ -5,6 +5,7 @@ from collections import Counter
 import numpy as np
 import pytest
 import selgen_oracle
+from deployments import command_budget
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +13,6 @@ from rfid_sampler import selgen
 from rfid_sampler.errors import ProtocolError
 from rfid_sampler import (
     best_threshold,
-    category_tags,
     command_count,
     generate_population,
     run_optc_impl,
@@ -22,7 +22,6 @@ from rfid_sampler import (
 from rfid_sampler.population import HALF_BITS, halves_to_ids, random_ids
 from rfid_sampler.selgen import (
     SELECT_FIXED_BITS,
-    command_budget,
     commands_bit_cost,
     run_impl_category,
 )
@@ -137,7 +136,7 @@ class TestImplementation:
         res = run_impl_category(*pop.halves(1), 6, rng)
         ready = {tid for tid, _ in res.ready}
         assert len(ready) == 6
-        assert ready <= {t.id for t in category_tags(pop, 1)}
+        assert ready <= set(halves_to_ids(*pop.halves(1)))
         assert sorted(o for _, o in res.ready) == list(range(1, 7))
         assert 6 <= len(res.pool[0]) <= 6 + 6 * math.sqrt(6)
         assert res.bits == commands_bit_cost(res.commands)
@@ -172,7 +171,7 @@ class TestImplementation:
         pop = generate_population(shapes, rng_seed=41)
         crossed = ones = False
         for spec, res in zip(pop.categories, run_optc_impl(pop, np.random.default_rng(12))):
-            ids = [t.id for t in category_tags(pop, spec.k)]
+            ids = halves_to_ids(spec.hi, spec.lo)
             pool = [i for i in ids if substring_hash(i, res.coarse_seed) <= res.tau_coarse]
             assert halves_to_ids(*res.pool) == pool
             coarse = selgen_commands(res.tau_coarse, res.coarse_seed.length)

@@ -3,7 +3,8 @@
 import ast
 from pathlib import Path
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "rfid_sampler"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "rfid_sampler"
 # `population.random_ids` reads PCG64 raw words, which `default_rng` gives
 _GENERATOR_BUILDERS = {"Generator", "RandomState", "MT19937", "PCG64", "PCG64DXSM", "Philox", "SFC64"}
 
@@ -50,9 +51,9 @@ def _private_imports(path: Path) -> list[str]:
     return hits
 
 
-def _private_definitions(path: Path) -> list[tuple[str, str]]:
-    """('file:line name', name) for each top-level private name (`_x`, not a
-    dunder) that `path` defines by def, class or assignment."""
+def _definitions(path: Path) -> list[tuple[str, str]]:
+    """('file:line name', name) for each top-level name that `path` defines
+    by def, class or assignment."""
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     hits = []
     for node in tree.body:
@@ -63,8 +64,7 @@ def _private_definitions(path: Path) -> list[tuple[str, str]]:
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             names = []
-        hits += [(f"{path.name}:{node.lineno} {name}", name) for name in names
-                 if name.startswith("_") and not name.startswith("__")]
+        hits += [(f"{path.name}:{node.lineno} {name}", name) for name in names]
     return hits
 
 
@@ -77,6 +77,19 @@ def _names_read(path: Path) -> set[str]:
             read.add(node.id)
         elif isinstance(node, ast.Attribute):
             read.add(node.attr)
+    return read
+
+
+def _names_read_or_imported(path: Path, strings: bool = False) -> set[str]:
+    """`_names_read`, every name `path` imports and, with `strings`, every
+    string constant in it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    read = _names_read(path)
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            read.update(alias.name for alias in node.names)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
     return read
 
 
@@ -103,4 +116,25 @@ def test_package_modules_read_every_private_name_they_define():
     modules = sorted(PACKAGE.glob("*.py"))
     assert modules
     read = set().union(*map(_names_read, modules))
-    assert [hit for path in modules for hit, name in _private_definitions(path) if name not in read] == []
+    private = [(hit, name) for path in modules for hit, name in _definitions(path)
+               if name.startswith("_") and not name.startswith("__")]  # `_x`, not a dunder
+    assert [hit for hit, name in private if name not in read] == []
+
+
+def test_every_public_name_in_the_package_has_a_reader():
+    # a reader: a load in the defining module, a read or import in another
+    # package module (re-exports in __init__.py do not count), or a read,
+    # import or string (the benchmark's tracer names its targets) in a demo
+    # or the benchmark; a name only the tests read belongs in the tests
+    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    scripts = sorted(ROOT.glob("demos/*.py")) + sorted(ROOT.glob("benchmarks/*.py"))
+    assert modules and scripts
+    outside = set().union(*(_names_read_or_imported(path, strings=True) for path in scripts))
+    reads = {path: _names_read_or_imported(path) for path in modules}
+    unread = []
+    for path in modules:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        loaded = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        readers = loaded | outside | set().union(*(reads[o] for o in modules if o != path))
+        unread += [hit for hit, name in _definitions(path) if not name.startswith("_") and name not in readers]
+    assert unread == []
