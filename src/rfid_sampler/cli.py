@@ -16,7 +16,7 @@ from .analysis import (
 )
 from .errors import ConfigurationError, ProtocolError
 from .harness import parse_ints, run_scenarios
-from .population import ID_BITS, check_population_cap
+from .population import HALF_BITS, check_population_cap
 from .selgen import commands_bit_cost, select_bits, selgen_commands, selgen_filters
 from .verify import SUITES, run_suite
 
@@ -83,8 +83,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_selgen(args) -> int:
-    if not 1 <= args.bits <= ID_BITS:  # a hash window is a substring of the ID
-        raise ConfigurationError(f"need 1 <= bits <= {ID_BITS}, got bits={args.bits}")
+    if not 1 <= args.bits <= HALF_BITS:  # the widest hash window any stage reads
+        raise ConfigurationError(f"need 1 <= bits <= {HALF_BITS}, got bits={args.bits}")
     filters = selgen_filters(args.tau, args.bits)
     commands = selgen_commands(args.tau, args.bits)
     print(f"threshold {args.tau} over {args.bits}-bit hashes: "

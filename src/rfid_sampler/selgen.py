@@ -66,7 +66,10 @@ def command_count(tau: int, width: int) -> int:
 
     With t trailing ones in tau, the closer absorbs those positions, so
     the count is popcount(tau >> (t+1)) + 1; an all-ones tau still pays
-    its leading step-(3) filter, giving 2.
+    its leading step-(3) filter, giving 2.  One empty-mask Select (32 bits)
+    would keep every tag too, but priced at one it makes stage one keep
+    every tag more often, and stage two's bigger pools cost more (sim-deploy
+    airtime_ratio 12.07 -> 12.17); it waits for a choice by whole-plan cost.
     """
     if tau == (1 << width) - 1:
         return 2
@@ -110,8 +113,8 @@ class ImplRoundResult(ReadyTags):
     refine_seed: SeedSpec
     refine_redraws: int
     tau_coarse: int
-    tau_refine: int
-    commands: list[str]  # the Select commands' masks, coarse stage first
+    tau_refine: int | None  # None when stage one kept exactly c tags and stage two sent nothing
+    commands: list[str]  # the Select commands' masks, coarse stage first; stage two's may be none
 
     @property
     def bits(self) -> int:
@@ -133,7 +136,8 @@ def run_impl_category(
     draws another window only when ties leave no such tau.  Stage two
     redraws a wider window until the c smallest raw hashes are distinct and
     separated from the (c+1)-th, then selects them with the cheapest
-    threshold between the two.
+    threshold between the two.  When stage one kept exactly c tags, stage
+    two still draws its window, which orders the picks, but sends nothing.
     """
     n = len(hi)
     if not 1 <= c <= n:
@@ -174,11 +178,13 @@ def run_impl_category(
     else:
         raise ProtocolError(f"no refine hash window separates c={c} of l={l} tags")
 
-    lo2, hi2 = head[c - 1], head[c] - 1 if c < l else (1 << L2) - 1
-    tau2 = best_threshold(lo2, hi2, L2)
-    if not lo2 <= tau2 <= hi2:
-        raise ProtocolError(f"threshold {tau2} does not pick exactly c={c} of l={l} tags")
-    cmds += selgen_commands(tau2, L2)
+    tau2 = None  # stage one kept exactly c tags: nothing is left to narrow
+    if c < l:
+        lo2, hi2 = head[c - 1], head[c] - 1
+        tau2 = best_threshold(lo2, hi2, L2)
+        if not lo2 <= tau2 <= hi2:
+            raise ProtocolError(f"threshold {tau2} does not pick exactly c={c} of l={l} tags")
+        cmds += selgen_commands(tau2, L2)
 
     return ImplRoundResult(
         coarse_seed=coarse_seed,

@@ -196,13 +196,18 @@ def test_run_impl_category_calls_each_timed_step(monkeypatch):
     calls = _record(monkeypatch, "selgen", ("best_threshold", "selgen_commands"))
     pop = generate_population([(1, 1), (20, 5), (200, 25)], rng_seed=3)
     rng = np.random.default_rng(4)
+    stages_seen = set()
     for spec in pop.categories:
         calls.clear()
-        run_impl_category(*pop.halves(spec.k), spec.c, rng)
-        # one threshold and one command set per stage
-        assert sorted(name for name, _, _ in calls) == [
-            "best_threshold", "best_threshold", "selgen_commands", "selgen_commands"
-        ]
+        res = run_impl_category(*pop.halves(spec.k), spec.c, rng)
+        # one threshold and one command set per stage that sends; stage two
+        # sends nothing when stage one kept exactly c tags
+        stages = 1 if len(res.pool[0]) == spec.c else 2
+        assert sorted(name for name, _, _ in calls) == (
+            ["best_threshold"] * stages + ["selgen_commands"] * stages
+        )
+        stages_seen.add(stages)
+    assert stages_seen == {1, 2}
 
 
 def test_run_impl_category_result_feeds_the_selgen_hook():

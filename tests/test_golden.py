@@ -37,8 +37,8 @@ seed = 5
 protocols = optc, optc-impl, random-select
 """
 
-SIMULATE_CSV_SHA256 = "3d653ff6d79bd063690794f32f02ed752d9709e8307eb053e63795d0be7ab565"
-SIMULATE_JSON_SHA256 = "5b42879473036cad31f2369d36eb1a2d0a9b46150056953950857be0c338ca2f"
+SIMULATE_CSV_SHA256 = "bab3acd81449a39b6ee7ec40bf0f62652d1caaf525ee793b93e7343f43ef87f4"
+SIMULATE_JSON_SHA256 = "e8670ddf0315ee9e8a6683d29b25c7f89a2f21048cd91ae7d4f43470c1973701"
 SAMPLE_ONCE_SHA256 = "1404132068085e02c7739be059f1a53b73909a8038f179502fce637ae7eb3571"
 # one digest per part, so a failure names the part that moved
 SAMPLED_IDS_SHA256 = {

@@ -370,6 +370,8 @@ class TestCli:
         pytest.param(GOOD_CONFIG, None, "abc", id="env-seed-abc"),
         pytest.param(None, ["selgen", "--tau", "0", "--bits", "97"], None,
                      id="selgen-bits-past-id"),
+        pytest.param(None, ["selgen", "--tau", "5", "--bits", "49"], None,
+                     id="selgen-bits-past-window"),
         pytest.param(None, ["bounds", "--k", "2", "--c", "1", "--n", "5,6,7"], None,
                      id="bounds-n-too-long"),
         pytest.param(None, ["selgen", "--tau", "-1", "--bits", "4"], None,

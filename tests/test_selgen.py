@@ -158,7 +158,8 @@ class TestImplementation:
         # each category's result explains itself: its seeds and thresholds
         # rebuild the pool, the commands and the picked rows, and each
         # stage's masks, matched on the ID bits at that stage's window
-        # start, select exactly the pool and then exactly the picked rows
+        # start, select exactly the pool and then exactly the picked rows;
+        # when stage one kept exactly c tags, its masks alone select them
         from tag_oracle import substring_hash
 
         def matched(ids, masks, seed):
@@ -166,28 +167,37 @@ class TestImplementation:
             return [i for i in ids if any(format(i, "096b")[at:at + len(m)] == m for m in masks)]
 
         # c = n and n = 1 first, then enough categories that some window
-        # crosses bit 48 and some tau ends in ones
+        # crosses bit 48, some tau ends in ones and some stage one keeps
+        # exactly c of more than c tags
         shapes = [(1, 1), (6, 6), (25, 6), (300, 20)] + [(40, 5)] * 12
         pop = generate_population(shapes, rng_seed=41)
-        crossed = ones = False
+        crossed = ones = exact = False
         for spec, res in zip(pop.categories, run_optc_impl(pop, np.random.default_rng(12))):
             ids = halves_to_ids(spec.hi, spec.lo)
             pool = [i for i in ids if substring_hash(i, res.coarse_seed) <= res.tau_coarse]
             assert halves_to_ids(*res.pool) == pool
             coarse = selgen_commands(res.tau_coarse, res.coarse_seed.length)
-            refine = selgen_commands(res.tau_refine, res.refine_seed.length)
-            assert res.commands == coarse + refine
-            picked = [
-                row for row, i in enumerate(pool)
-                if substring_hash(i, res.refine_seed) <= res.tau_refine
-            ]
-            assert picked == sorted(res.positions.tolist())
             assert matched(ids, coarse, res.coarse_seed) == pool
-            assert matched(pool, refine, res.refine_seed) == [pool[row] for row in picked]
-            for seed, tau in ((res.coarse_seed, res.tau_coarse), (res.refine_seed, res.tau_refine)):
+            sent = [(res.coarse_seed, res.tau_coarse)]
+            if res.tau_refine is None:
+                assert len(pool) == spec.c
+                assert res.commands == coarse
+                picked = list(range(spec.c))
+                exact |= spec.c < spec.n
+            else:
+                refine = selgen_commands(res.tau_refine, res.refine_seed.length)
+                assert res.commands == coarse + refine
+                picked = [
+                    row for row, i in enumerate(pool)
+                    if substring_hash(i, res.refine_seed) <= res.tau_refine
+                ]
+                assert matched(pool, refine, res.refine_seed) == [pool[row] for row in picked]
+                sent.append((res.refine_seed, res.tau_refine))
+            assert picked == sorted(res.positions.tolist())
+            for seed, tau in sent:
                 crossed |= seed.start <= HALF_BITS < seed.start + seed.length - 1
                 ones |= tau & 1 == 1
-        assert crossed and ones
+        assert crossed and ones and exact
 
     def test_uniform_over_random_populations(self):
         # stage one's tau depends on the drawn hashes; over fresh random
