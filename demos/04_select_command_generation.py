@@ -24,11 +24,11 @@ print("\nfull run: 8 categories, alternating sizes 20/30, c = 6 each")
 pop = generate_population([(20, 6), (30, 6)] * 4, rng_seed=5)
 rng = np.random.default_rng(9)
 results = run_optc_impl(pop, rng)
-impl_bits = sum(r.bits for r in results)
+impl_bits = sum(r.bits_sent for r in results)
 impl_cmds = sum(len(r.commands) for r in results)
 
 pop2 = generate_population([(20, 6), (30, 6)] * 4, rng_seed=5)
-baseline_bits = sum(r.bits for r in run_random_select(pop2, np.random.default_rng(9)))
+baseline_bits = sum(r.bits_sent for r in run_random_select(pop2, np.random.default_rng(9)))
 
 print(f"threshold realization: {impl_cmds} Select commands, {impl_bits} bits")
 print(f"per-tag ID matching:   {baseline_bits} bits")

@@ -32,7 +32,6 @@ from .population import (
 )
 from .protocol import (
     CoarseRound,
-    CostLedger,
     RoundOutcome,
     build_frame,
     optc1_round,

@@ -37,8 +37,9 @@ def lower_bound_bits(cs) -> float:
 
 def expected_protocol_bits(ns, cs) -> float:
     """Expected broadcast cost, summed over categories: e*c_k frame bits plus the
-    ledger's coarse header and stop bit.  The frame term assumes the coarse stage
-    leaves about c + 3*sqrt(c) tags (n = c = 30 measures about 113 bits, not 92.6)."""
+    coarse header and stop bit that `run_optc`'s records charge.  The frame term
+    assumes the coarse stage leaves about c + 3*sqrt(c) tags (n = c = 30
+    measures about 113 bits, not 92.6)."""
     ns, cs = check_categories(ns, cs)
     headers = sum(map(optc1_header_bits, ns.tolist(), cs.tolist()))
     return math.e * sum(cs.tolist()) + headers + len(ns)

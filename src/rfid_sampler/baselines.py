@@ -12,7 +12,7 @@ class BaselineReport(ReadyTags):
     """One category's random picks; `pool` is the category's ID halves."""
 
     @property
-    def bits(self) -> int:
+    def bits_sent(self) -> int:
         """One Select command matching the full ID per pick."""
         return len(self.positions) * select_bits(ID_BITS)
 

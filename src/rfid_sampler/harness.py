@@ -1,8 +1,8 @@
 """Scenario configuration, Monte-Carlo drivers and CSV/JSON emission.
 
 A config file is INI-style: each section is one scenario point, with a
-category count K, size and sample schedules (single value or comma list,
-cycled to length K), a trial count and a root seed.  Each (point,
+category count K, size and sample schedules (one value or a comma list of
+at most K, cycled to length K), a trial count and a root seed.  Each (point,
 protocol, trial) triple gets its own deterministic rng stream, so output
 files are byte-identical across runs and robust to trial parallelism.
 """
@@ -24,14 +24,15 @@ from .population import check_categories, check_population_cap, generate_populat
 from .protocol import run_optc
 from .selgen import run_optc_impl
 
-# protocol name -> (population, rng) -> reader-to-tag bits.  The key order is
-# each trial's rng spawn key, so entries are only ever appended.  A runner looks
-# up its protocol function in this module when called, so a wrapper that
-# replaces the module's name (as the benchmark's tracer does) sees every call.
+# protocol name -> (population, rng) -> reader-to-tag bits: the sum of bits_sent
+# over the records its run returns.  The key order is each trial's rng spawn
+# key, so entries are only ever appended.  A runner looks up its protocol
+# function in this module when called, so a wrapper that replaces the module's
+# name (as the benchmark's tracer does) sees every call.
 PROTOCOLS = {
-    "optc": lambda pop, rng: run_optc(pop, rng)[1].bits_reader_to_tag,
-    "optc-impl": lambda pop, rng: sum(r.bits for r in run_optc_impl(pop, rng)),
-    "random-select": lambda pop, rng: sum(r.bits for r in run_random_select(pop, rng)),
+    "optc": lambda pop, rng: sum(r.bits_sent for stage in run_optc(pop, rng) for r in stage),
+    "optc-impl": lambda pop, rng: sum(r.bits_sent for r in run_optc_impl(pop, rng)),
+    "random-select": lambda pop, rng: sum(r.bits_sent for r in run_random_select(pop, rng)),
 }
 
 
@@ -84,8 +85,14 @@ def parse_ints(raw: str, where: str) -> list[int]:
     return values
 
 
-def _expand_schedule(values: list[int], K: int) -> list[int]:
-    """A single value repeats; a list cycles to length K."""
+def _schedule(sec, key: str, K: int) -> list[int]:
+    """The section's `key` list for K categories: a single value repeats; a
+    list of up to K values cycles to length K."""
+    if key not in sec:
+        raise ConfigurationError(f"[{sec.name}]: missing key {key}")
+    values = parse_ints(sec[key], f"[{sec.name}] {key}")
+    if len(values) > K:
+        raise ConfigurationError(f"[{sec.name}] {key}: {len(values)} values, more than K={K}")
     return [values[i % len(values)] for i in range(K)]
 
 
@@ -104,15 +111,12 @@ def _int_key(sec, key: str, fallback: int | None = None) -> int:
 def _scenario(sec, seed_override: int | None) -> ScenarioConfig:
     K = _int_key(sec, "K")
     check_population_cap(K)
-    for key in ("n", "c"):
-        if key not in sec:
-            raise ConfigurationError(f"[{sec.name}]: missing key {key}")
     listed = sec.get("protocols", ",".join(ScenarioConfig.protocols))
     protocols = tuple(p.strip() for p in listed.split(",") if p.strip())
     return ScenarioConfig(
         scenario_id=sec.name,
-        ns=_expand_schedule(parse_ints(sec["n"], f"[{sec.name}] n"), K),
-        cs=_expand_schedule(parse_ints(sec["c"], f"[{sec.name}] c"), K),
+        ns=_schedule(sec, "n", K),
+        cs=_schedule(sec, "c", K),
         trials=_int_key(sec, "trials", fallback=ScenarioConfig.trials),
         rng_seed=seed_override if seed_override is not None
         else _int_key(sec, "seed", fallback=ScenarioConfig.rng_seed),

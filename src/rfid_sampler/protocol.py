@@ -21,9 +21,10 @@ header, `optc1_header_bits(n, c)`.  A refinement `RoundOutcome` counts:
   delimits itself), else after f bits.
 * ``bits_sent``    -- the frame bits plus the 1-bit stop: all it broadcast.
 
-`run_optc`'s `CostLedger` is the sum over both stages of every category.
+`run_optc` returns both records of every category, so a run's air-time is
+the sum of their ``bits_sent``.
 
-How the ledger measures against the log2(e)*c lower bound is recorded
+How that sum measures against the log2(e)*c lower bound is recorded
 once, in README's "Acceptance status", and checked by
 `tests/test_acceptance.py`.
 """
@@ -67,12 +68,6 @@ class RoundOutcome(ReadyTags):
     @property
     def bits_sent(self) -> int:
         return self.payload_bits + 1  # the frames and the 1-bit stop: all it broadcast
-
-
-@dataclass
-class CostLedger:
-    bits_reader_to_tag: int
-    payload_bits: int
 
 
 def optc1_header_bits(n: int, c: int) -> int:
@@ -222,18 +217,14 @@ def optc2_round(pool: tuple[np.ndarray, np.ndarray], c: int) -> RoundOutcome:
 def run_optc(
     population: Population,
     rng: np.random.Generator,
-) -> tuple[list[RoundOutcome], CostLedger]:
-    """Full protocol: K coarse rounds, then K refinement rounds.  Returns the
-    refinement outcomes, each with its own stage's bits, and the ledger of
-    the whole run: every stage's bits_sent and the frame bits, summed."""
+) -> tuple[list[RoundOutcome], list[CoarseRound]]:
+    """Full protocol: K coarse rounds, then K refinement rounds.  Returns
+    each category's refinement outcome and its coarse round, in category
+    order; each record reports its own stage's bits."""
     categories = population.categories
     coarse = [optc1_round(cat.hi, cat.lo, cat.c, rng) for cat in categories]
     outcomes = [
         optc2_round((cat.hi[first.positions], cat.lo[first.positions]), cat.c)
         for cat, first in zip(categories, coarse)
     ]
-    ledger = CostLedger(
-        bits_reader_to_tag=sum(out.bits_sent for out in coarse + outcomes),
-        payload_bits=sum(out.payload_bits for out in outcomes),
-    )
-    return outcomes, ledger
+    return outcomes, coarse

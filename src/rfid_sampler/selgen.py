@@ -117,7 +117,7 @@ class ImplRoundResult(ReadyTags):
     commands: list[str]  # the Select commands' masks, coarse stage first; stage two's may be none
 
     @property
-    def bits(self) -> int:
+    def bits_sent(self) -> int:
         return commands_bit_cost(self.commands)
 
 

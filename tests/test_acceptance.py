@@ -85,10 +85,12 @@ def test_criterion_5_near_optimality():
             )
             for trial in range(point.trials):
                 pop, rng = trial_population(point, K, "optc", trial)
-                _, ledger = run_optc(pop, rng)
+                outcomes, coarse = run_optc(pop, rng)
                 lb = transmission_time(lower_bound_bits(point.cs))
-                ratios.append(transmission_time(ledger.bits_reader_to_tag) / lb)
-                payload_ratios.append(transmission_time(ledger.payload_bits) / lb)
+                bits = sum(r.bits_sent for r in coarse + outcomes)
+                ratios.append(transmission_time(bits) / lb)
+                payload_ratios.append(
+                    transmission_time(sum(o.payload_bits for o in outcomes)) / lb)
         mean = statistics.fmean(ratios)
         ratios_by_c[c] = mean
         upper = upper_by_c[c]
@@ -134,7 +136,7 @@ def test_criterion_8_command_budget():
                 pop, rng = trial_population(point, i, "optc-impl", trial)
                 results = run_optc_impl(pop, rng)
                 commands = sum(len(r.commands) for r in results)
-                bits = sum(r.bits for r in results)
+                bits = sum(r.bits_sent for r in results)
                 if commands > budget:
                     budget_violations += 1
                 baseline = run_trial(point, i, "random-select", trial)

@@ -10,7 +10,7 @@ def test_random_select_counts_and_cost():
     pop = generate_population([(20, 5), (30, 7)], rng_seed=2)
     reports = run_random_select(pop, np.random.default_rng(1))
     assert [len(r.positions) for r in reports] == [5, 7]
-    assert [r.bits for r in reports] == [5 * (SELECT_FIXED_BITS + 96), 7 * (SELECT_FIXED_BITS + 96)]
+    assert [r.bits_sent for r in reports] == [5 * (SELECT_FIXED_BITS + 96), 7 * (SELECT_FIXED_BITS + 96)]
     for spec, report in zip(pop.categories, reports):
         assert sorted(o for _, o in report.ready) == list(range(1, spec.c + 1))
         members = set(halves_to_ids(spec.hi, spec.lo))

@@ -165,13 +165,14 @@ def test_protocol_hooks_add_up_to_the_ledger():
     tracer = spans.Tracer()
     spans.install(tracer)
     try:
-        _, ledger = protocol.run_optc(pop, np.random.default_rng(3))
+        outcomes, coarse = protocol.run_optc(pop, np.random.default_rng(3))
     finally:
         tracer.unwrap_all()
     bits = ("coarse_header", "refine_header", "frame", "stop")
     assert tracer.hook_errors == []
-    assert sum(tracer.count[f"protocol.bits.{b}"] for b in bits) == ledger.bits_reader_to_tag
-    assert tracer.count["protocol.bits.frame"] == ledger.payload_bits
+    assert sum(tracer.count[f"protocol.bits.{b}"] for b in bits) == sum(
+        r.bits_sent for r in coarse + outcomes)
+    assert tracer.count["protocol.bits.frame"] == sum(o.payload_bits for o in outcomes)
 
 
 # The sim workloads' selgen.* keys: the tracer counts one run_impl_category

@@ -2,6 +2,7 @@
 
 The digests were taken from the implementation that built one Python object
 per tag; any change to the representation underneath must reproduce them.
+`VERIFY_ALL_FAST_SHA256` pins the stdout of `rfid-sampler verify all --fast`.
 A change that alters the protocol's behaviour on purpose updates them and
 says why.
 """
@@ -13,6 +14,7 @@ import numpy as np
 
 from rfid_sampler import generate_population
 from rfid_sampler.baselines import run_random_select
+from rfid_sampler.cli import main
 from rfid_sampler.harness import run_scenarios
 from rfid_sampler.population import halves_to_ids
 from rfid_sampler.protocol import run_optc
@@ -39,6 +41,7 @@ protocols = optc, optc-impl, random-select
 
 SIMULATE_CSV_SHA256 = "bab3acd81449a39b6ee7ec40bf0f62652d1caaf525ee793b93e7343f43ef87f4"
 SIMULATE_JSON_SHA256 = "e8670ddf0315ee9e8a6683d29b25c7f89a2f21048cd91ae7d4f43470c1973701"
+VERIFY_ALL_FAST_SHA256 = "35f1019d07cb17b8de5461ea1cf533c686a80e5cda0c1195cf6c6a7bc11ce38b"
 SAMPLE_ONCE_SHA256 = "1404132068085e02c7739be059f1a53b73909a8038f179502fce637ae7eb3571"
 # one digest per part, so a failure names the part that moved
 SAMPLED_IDS_SHA256 = {
@@ -65,6 +68,12 @@ def test_simulate_output_digests(tmp_path):
     run_scenarios(str(config), str(out))
     assert _sha256(out) == SIMULATE_CSV_SHA256
     assert _sha256(tmp_path / "golden.csv.json") == SIMULATE_JSON_SHA256
+
+
+def test_verify_all_fast_output_digest(capsys):
+    # the stdout of `rfid-sampler verify all --fast`: every check's line
+    assert main(["verify", "all", "--fast"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == VERIFY_ALL_FAST_SHA256
 
 
 def test_sample_once_sequence_digest():

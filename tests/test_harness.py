@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rfid_sampler import (
     ConfigurationError, cli, harness, load_config, population, protocol, reliability_number,
-    selgen_commands, verify,
+    run_optc, run_optc_impl, run_random_select, selgen_commands, verify,
 )
 from rfid_sampler.cli import main
 from rfid_sampler.harness import (
@@ -24,6 +24,7 @@ from rfid_sampler.harness import (
     trial_population,
 )
 from deployments import deployment_shapes
+from test_golden import SCENARIO as GOLDEN_CONFIG
 
 GOOD_CONFIG = """\
 [small-sweep]
@@ -90,6 +91,12 @@ class TestConfig:
     def test_unknown_protocol_rejected(self):
         with pytest.raises(ConfigurationError):
             ScenarioConfig("x", ns=[5], cs=[2], protocols=("teleport",))
+
+    @pytest.mark.parametrize("n,c,key", [("5,6,7", "1", "n"), ("5", "1,2,3", "c")])
+    def test_schedule_longer_than_k_rejected(self, tmp_path, n, c, key):
+        # rejected, not cut short to K values
+        with pytest.raises(ConfigurationError, match=rf"^\[x\] {key}: 3 values, more than K=2$"):
+            load_config(_write(tmp_path, f"[x]\nK = 2\nn = {n}\nc = {c}\n"))
 
     def test_k_is_the_schedule_length(self):
         assert ScenarioConfig("x", ns=[5, 6], cs=[1, 2]).K == 2
@@ -170,6 +177,25 @@ class TestTrials:
     def test_unknown_protocol_raises(self):
         with pytest.raises(ValueError):
             run_trial(self.POINT, 0, "teleport", 0)
+
+    # each protocol's run, returning every per-category record it makes
+    RECORDS = {
+        "optc": lambda pop, rng: [r for stage in run_optc(pop, rng) for r in stage],
+        "optc-impl": run_optc_impl,
+        "random-select": run_random_select,
+    }
+
+    def test_a_trials_bits_are_its_records_bits_sent(self, tmp_path):
+        assert list(self.RECORDS) == list(PROTOCOLS)
+        for i, point in enumerate(load_config(_write(tmp_path, GOLDEN_CONFIG))):
+            for protocol in point.protocols:
+                for trial in range(point.trials):
+                    pop, rng = trial_population(point, i, protocol, trial)
+                    records = self.RECORDS[protocol](pop, rng)
+                    # optc returns both stages' records: K coarse rounds, K outcomes
+                    assert len(records) == point.K * (2 if protocol == "optc" else 1)
+                    row = run_trial(point, i, protocol, trial)
+                    assert row.bits == sum(r.bits_sent for r in records)
 
 
 class TestReports:
@@ -365,6 +391,8 @@ class TestCli:
                      id="bounds-c-above-n"),
         pytest.param(None, ["bounds", "--k", "2", "--c", "1", "--n", "0"], None, id="bounds-n-0"),
         pytest.param(GOOD_CONFIG.replace("n = 20", "n = 20,0"), None, None, id="n-0"),
+        pytest.param(GOOD_CONFIG.replace("n = 20", "n = 20,30,40,50"), None, None,
+                     id="n-longer-than-K"),
         pytest.param(GOOD_CONFIG.replace("n = 20", "n = 99999999999999999999"), None, None,
                      id="n-past-int64"),
         pytest.param(GOOD_CONFIG, None, "abc", id="env-seed-abc"),

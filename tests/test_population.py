@@ -233,8 +233,8 @@ def _sample_all(pop, seed):
         first = optc1_round(hi, lo, spec.c, rng)
         out = optc2_round((hi[first.positions], lo[first.positions]), spec.c)
         record.append((out.ready, first.bits_sent, out.bits_sent, out.payload_bits))
-    record += [(res.ready, res.bits) for res in run_optc_impl(pop, rng)]
-    record += [rep.bits for rep in run_random_select(pop, rng)]
+    record += [(res.ready, res.bits_sent) for res in run_optc_impl(pop, rng)]
+    record += [rep.bits_sent for rep in run_random_select(pop, rng)]
     return record, int(rng.integers(1 << 62))
 
 

@@ -297,13 +297,14 @@ def test_chi2_critical_is_the_upper_1e3_point():
 
 def test_run_optc_full_population():
     pop = generate_population([(60, 5), (40, 8), (25, 3)], rng_seed=21)
-    outcomes, ledger = run_optc(pop, np.random.default_rng(3))
-    assert len(outcomes) == 3
-    for spec, out in zip(pop.categories, outcomes):
+    outcomes, coarse = run_optc(pop, np.random.default_rng(3))
+    assert len(outcomes) == len(coarse) == 3
+    # both lists run in category order, and each record reports its own
+    # stage's bits: the coarse header, then the frames and the stop bit
+    for spec, out, first in zip(pop.categories, outcomes, coarse):
         assert sorted(o for _, o in out.ready) == list(range(1, spec.c + 1))
-    # each outcome reports its own refinement stage's bits; the ledger adds
-    # every category's coarse header
-    headers = sum(optc1_header_bits(s.n, s.c) for s in pop.categories)
-    assert ledger.bits_reader_to_tag == headers + sum(o.bits_sent for o in outcomes)
-    assert all(o.bits_sent == o.payload_bits + 1 for o in outcomes)
-    assert ledger.payload_bits == sum(o.payload_bits for o in outcomes) > 0
+        assert first.bits_sent == optc1_header_bits(spec.n, spec.c)
+        assert out.bits_sent == out.payload_bits + 1 and out.payload_bits > 0
+        # the refinement ran over the tags that category's coarse round selected
+        assert np.array_equal(out.pool[0], spec.hi[first.positions])
+        assert np.array_equal(out.pool[1], spec.lo[first.positions])

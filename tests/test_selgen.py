@@ -139,7 +139,7 @@ class TestImplementation:
         assert ready <= set(halves_to_ids(*pop.halves(1)))
         assert sorted(o for _, o in res.ready) == list(range(1, 7))
         assert 6 <= len(res.pool[0]) <= 6 + 6 * math.sqrt(6)
-        assert res.bits == commands_bit_cost(res.commands)
+        assert res.bits_sent == commands_bit_cost(res.commands)
 
     def test_orders_follow_hash_rank(self):
         pop = generate_population([(25, 6)], rng_seed=29)
@@ -229,7 +229,7 @@ class TestImplementation:
         r1 = run_optc_impl(pop1, np.random.default_rng(5))
         r2 = run_optc_impl(pop2, np.random.default_rng(5))
         assert [r.ready for r in r1] == [r.ready for r in r2]
-        assert [r.bits for r in r1] == [r.bits for r in r2]
+        assert [r.bits_sent for r in r1] == [r.bits_sent for r in r2]
 
     def test_coarse_exhaustion_raises(self):
         # every window of all-zero IDs selects all 100 tags, more than
