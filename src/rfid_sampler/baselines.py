@@ -9,7 +9,8 @@ from .selgen import select_bits
 
 
 class BaselineReport(ReadyTags):
-    """One category's random picks; `pool` is the category's ID halves."""
+    """One category's random picks: `positions` are population rows, and
+    `pool` is the whole population's ID halves, shared by every report."""
 
     @property
     def bits_sent(self) -> int:
@@ -17,16 +18,22 @@ class BaselineReport(ReadyTags):
         return len(self.positions) * select_bits(ID_BITS)
 
 
-def run_random_select(
-    population: Population, rng: np.random.Generator
-) -> list[BaselineReport]:
+def run_random_select(population: Population, rng: np.random.Generator) -> list[BaselineReport]:
     """Pick each sample with its own Select command matching the full 96-bit
-    ID: c_k commands of 96-bit masks per category, no hashing involved."""
-    reports = []
-    for cat in population.categories:
-        picks = rng.choice(cat.n, size=cat.c, replace=False)
-        reports.append(BaselineReport(pool=(cat.hi, cat.lo), positions=picks))
-    return reports
+    ID: c_k commands of 96-bit masks per category, no hashing involved.
+    Each tag draws a 44-bit random key topped by its category's first row
+    (below 2^20), so one sort shuffles every category and category k picks
+    its first c_k rows.  A tie inside a category redraws every key."""
+    bounds = population.offsets
+    starts = np.repeat(bounds[:-1], np.diff(bounds))  # each row's category's first row
+    while True:
+        keys = rng.integers(0, 1 << 44, len(starts), np.uint64) | starts.astype(np.uint64) << 44
+        order = np.argsort(keys)
+        ranked = keys[order]
+        if not np.count_nonzero(ranked[1:] == ranked[:-1]):
+            break
+    pool = (population.hi, population.lo)
+    return [BaselineReport(pool, order[a:a + c]) for a, c in zip(bounds.tolist(), population.cs.tolist())]
 
 
 def naive_threshold_bits(tau: int, width: int) -> int:

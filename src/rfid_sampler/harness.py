@@ -232,9 +232,9 @@ def write_results(rows: list[ResultRow], out_path: str):
     rows = sorted(rows, key=lambda r: (r.scenario, r.protocol, r.trial))
     records = [r.as_record() for r in rows]
     with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=CSV_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(records)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows([rec[col] for col in CSV_COLUMNS] for rec in records)
     mirror = {"rows": records, "aggregates": aggregate(rows)}
     with open(out_path + ".json", "w") as fh:
         fh.write(json.dumps(mirror, indent=2, sort_keys=True) + "\n")

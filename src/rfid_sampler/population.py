@@ -12,8 +12,10 @@ low 48-bit halves, categories contiguous and in draw order inside each, CSR
 offsets marking where each category starts, and each category's sample
 count.  OPT-C and optc-impl depend only on a category's set of IDs, and
 random-select picks uniformly random rows, so no protocol relies on that
-order.  The stages keep no per-tag state, so every run starts from reset;
-they read each category through the `Population.categories` view.
+order.  The stages keep no per-tag state, so every run starts from reset.
+OPT-C and optc-impl read each category through `Population.segments`, and
+random-select sorts one random key per tag; only the tests and the
+benchmark's outcome check read the cached `Population.categories` view.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -64,9 +66,12 @@ class Population:
 
     @cached_property
     def categories(self) -> list[Category]:
-        bounds = self.offsets.tolist()
-        return [Category(k, b - a, c, self.hi[a:b], self.lo[a:b]) for k, a, b, c in
-                zip(range(1, len(bounds)), bounds, bounds[1:], self.cs.tolist())]
+        return [Category(k, len(h), c, h, l) for k, (h, l, c) in enumerate(self.segments(), 1)]
+
+    def segments(self) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+        """(hi, lo, c) of each category in order, as views; keeps nothing."""
+        b = self.offsets.tolist()
+        return ((self.hi[a:e], self.lo[a:e], c) for a, e, c in zip(b, b[1:], self.cs.tolist()))
 
     def halves(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """(hi, lo) ID halves of category k, in draw order (views, not copies)."""

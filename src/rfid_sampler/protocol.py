@@ -221,10 +221,9 @@ def run_optc(
     """Full protocol: K coarse rounds, then K refinement rounds.  Returns
     each category's refinement outcome and its coarse round, in category
     order; each record reports its own stage's bits."""
-    categories = population.categories
-    coarse = [optc1_round(cat.hi, cat.lo, cat.c, rng) for cat in categories]
+    coarse = [optc1_round(hi, lo, c, rng) for hi, lo, c in population.segments()]
     outcomes = [
-        optc2_round((cat.hi[first.positions], cat.lo[first.positions]), cat.c)
-        for cat, first in zip(categories, coarse)
+        optc2_round((hi[first.positions], lo[first.positions]), c)
+        for (hi, lo, c), first in zip(population.segments(), coarse)
     ]
     return outcomes, coarse

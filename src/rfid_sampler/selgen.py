@@ -205,6 +205,4 @@ def run_optc_impl(
     rng: np.random.Generator,
 ) -> list[ImplRoundResult]:
     """The Select-command realization over every category in turn."""
-    return [
-        run_impl_category(cat.hi, cat.lo, cat.c, rng) for cat in population.categories
-    ]
+    return [run_impl_category(hi, lo, c, rng) for hi, lo, c in population.segments()]

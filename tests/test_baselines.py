@@ -1,9 +1,13 @@
+import math
+from collections import Counter
+
 import numpy as np
 
 from rfid_sampler import generate_population, run_random_select
 from rfid_sampler.baselines import naive_threshold_bits
 from rfid_sampler.population import halves_to_ids
 from rfid_sampler.selgen import SELECT_FIXED_BITS, commands_bit_cost, selgen_commands
+from rfid_sampler.verify import CHI2_CRITICAL
 
 
 def test_random_select_counts_and_cost():
@@ -23,6 +27,46 @@ def test_random_select_distinct_picks():
     pop = generate_population([(10, 10)], rng_seed=8)
     (report,) = run_random_select(pop, np.random.default_rng(0))
     assert len({tid for tid, _ in report.ready}) == 10
+
+
+def test_random_select_is_uniform_and_stays_inside_each_category():
+    # 30,000 categories of n = 6, c = 2 sorted in one pass, with c = n and
+    # n = 1 categories around them: every two-subset of a category's rows is
+    # equally likely (criterion 2's chi-square and per-tag 4 SE bounds), and
+    # every category picks distinct rows of its own
+    draws, n, c = 30_000, 6, 2
+    edge = [(1, 1), (5, 5), (1, 1), (3, 3)]
+    pop = generate_population(edge + [(n, c)] * draws + edge, rng_seed=4)
+    reports = run_random_select(pop, np.random.default_rng(6))
+    assert len(reports) == len(pop.categories)
+    for spec, report in zip(pop.categories, reports):
+        picked = [tid for tid, _ in report.ready]
+        assert len(set(picked)) == len(picked) == spec.c
+        assert set(picked) <= set(halves_to_ids(spec.hi, spec.lo))
+        assert [o for _, o in report.ready] == list(range(1, spec.c + 1))
+
+    bounds = pop.offsets[len(edge):len(edge) + draws]
+    rows = np.sort([r.positions for r in reports[len(edge):len(edge) + draws]], axis=1)
+    rows -= bounds[:, None]
+    subsets = Counter(map(tuple, rows.tolist()))
+    expected = draws / math.comb(n, c)
+    stat = sum((subsets[(i, j)] - expected) ** 2 / expected
+               for i in range(n) for j in range(i + 1, n))
+    assert stat <= CHI2_CRITICAL
+    p = c / n
+    freqs = np.bincount(rows.ravel(), minlength=n) / draws
+    assert np.max(np.abs(freqs - p)) <= 4 * math.sqrt(p * (1 - p) / draws)
+
+
+def test_random_select_at_the_population_cap():
+    # 2^20 one-tag categories: the largest first row a pick key carries
+    # is 2^20 - 1, and every category picks its only row
+    pop = generate_population([(1, 1)] * (1 << 20), rng_seed=1)
+    reports = run_random_select(pop, np.random.default_rng(2))
+    assert len(reports) == 1 << 20
+    rows = np.concatenate([r.positions for r in reports])
+    assert np.array_equal(rows, np.arange(1 << 20))
+    assert reports[-1].ready == [(halves_to_ids(pop.hi[-1:], pop.lo[-1:])[0], 1)]
 
 
 def test_naive_enumeration_matches_same_range():

@@ -50,7 +50,7 @@ SAMPLED_IDS_SHA256 = {
     "optc-impl": "fd38aa7c6433adeddf6722b87024b0a94a0e61ec403430ce77596829fb9e29f9",
     # random-select picks rows, so its IDs follow each category's row order
     # (draw order); the other parts depend only on the categories' ID sets
-    "random-select": "89cf9135f0b09e53131a533b3adf73b7e817a360e93676c771303e66fd9ee763",
+    "random-select": "0ba2867aff257de62129e741fa00406028d8891e865f8196c1ff03d6fed69ab0",
 }
 
 # (n, c) rounds for the sample_once sequence: n = c, n = 1, tiny, and wide
