@@ -12,10 +12,9 @@ low 48-bit halves, categories contiguous and in draw order inside each, CSR
 offsets marking where each category starts, and each category's sample
 count.  OPT-C and optc-impl depend only on a category's set of IDs, and
 random-select picks uniformly random rows, so no protocol relies on that
-order.  The stages keep no per-tag state, so every run starts from reset.
-OPT-C and optc-impl read each category through `Population.segments`, and
-random-select sorts one random key per tag; only the tests and the
-benchmark's outcome check read the cached `Population.categories` view.
+order.  The stages keep no per-tag state, so every run starts from reset;
+they read each category through `Population.segments`, and only the tests
+and the benchmark's outcome check read the cached `categories` view.
 """
 
 from __future__ import annotations

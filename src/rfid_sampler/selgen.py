@@ -200,9 +200,6 @@ def run_impl_category(
     )
 
 
-def run_optc_impl(
-    population: Population,
-    rng: np.random.Generator,
-) -> list[ImplRoundResult]:
+def run_optc_impl(population: Population, rng: np.random.Generator) -> list[ImplRoundResult]:
     """The Select-command realization over every category in turn."""
     return [run_impl_category(hi, lo, c, rng) for hi, lo, c in population.segments()]

@@ -1,7 +1,9 @@
+import itertools
 import math
 from collections import Counter
 
 import numpy as np
+import pytest
 
 from rfid_sampler import generate_population, run_random_select
 from rfid_sampler.baselines import naive_threshold_bits
@@ -29,33 +31,58 @@ def test_random_select_distinct_picks():
     assert len({tid for tid, _ in report.ready}) == 10
 
 
-def test_random_select_is_uniform_and_stays_inside_each_category():
-    # 30,000 categories of n = 6, c = 2 sorted in one pass, with c = n and
-    # n = 1 categories around them: every two-subset of a category's rows is
-    # equally likely (criterion 2's chi-square and per-tag 4 SE bounds), and
-    # every category picks distinct rows of its own
+# upper 1e-3 point of chi-square with 29 degrees of freedom: the 30 ordered
+# pairs of distinct rows out of 6, less one
+ORDERED_PAIRS_CHI2_CRITICAL = 58.301173489794905
+
+
+@pytest.mark.parametrize("one_sort", [True, False])
+def test_random_select_is_uniform_in_subset_and_order(one_sort):
+    # n = 6, c = 2 drawn 30,000 times, by one sort over 30,000 such
+    # categories or by one rng.choice per call beside a 2,000-tag category:
+    # every ordered (first, second) pick is equally likely, and so is every
+    # two-subset and every tag (criterion 2's chi-square and 4 SE bounds)
     draws, n, c = 30_000, 6, 2
-    edge = [(1, 1), (5, 5), (1, 1), (3, 3)]
-    pop = generate_population(edge + [(n, c)] * draws + edge, rng_seed=4)
+    rng = np.random.default_rng(6)
+    if one_sort:
+        pop = generate_population([(n, c)] * draws, rng_seed=4)
+        pairs = np.array([r.positions for r in run_random_select(pop, rng)])
+    else:
+        pop = generate_population([(n, c), (2000, 1)], rng_seed=4)
+        pairs = np.array([run_random_select(pop, rng)[0].positions for _ in range(draws)])
+
+    def chi2(counts, cells):
+        expected = draws / len(cells)
+        return sum((counts[cell] - expected) ** 2 / expected for cell in cells)
+
+    ordered = Counter(map(tuple, pairs.tolist()))
+    assert chi2(ordered, list(itertools.permutations(range(n), c))) <= ORDERED_PAIRS_CHI2_CRITICAL
+    subsets = Counter(map(tuple, np.sort(pairs, axis=1).tolist()))
+    assert chi2(subsets, list(itertools.combinations(range(n), c))) <= CHI2_CRITICAL
+    p = c / n
+    freqs = np.bincount(pairs.ravel(), minlength=n) / draws
+    assert np.max(np.abs(freqs - p)) <= 4 * math.sqrt(p * (1 - p) / draws)
+
+
+@pytest.mark.parametrize("big", [0, 3000])
+def test_random_select_stays_inside_each_category(big):
+    # c = n and n = 1 categories: picked in one sort, or, beside a 3,000-tag
+    # category, by the same rng.choice calls as one per category; either way
+    # each report holds its category's halves and distinct rows of them
+    shape = [(1, 1), (5, 5), (6, 2), (1, 1), (3, 3)] + [(big, 7)] * bool(big)
+    pop = generate_population(shape, rng_seed=4)
     reports = run_random_select(pop, np.random.default_rng(6))
-    assert len(reports) == len(pop.categories)
+    assert len(reports) == len(shape)
     for spec, report in zip(pop.categories, reports):
+        assert np.array_equal(report.pool[0], spec.hi) and np.array_equal(report.pool[1], spec.lo)
         picked = [tid for tid, _ in report.ready]
         assert len(set(picked)) == len(picked) == spec.c
         assert set(picked) <= set(halves_to_ids(spec.hi, spec.lo))
         assert [o for _, o in report.ready] == list(range(1, spec.c + 1))
-
-    bounds = pop.offsets[len(edge):len(edge) + draws]
-    rows = np.sort([r.positions for r in reports[len(edge):len(edge) + draws]], axis=1)
-    rows -= bounds[:, None]
-    subsets = Counter(map(tuple, rows.tolist()))
-    expected = draws / math.comb(n, c)
-    stat = sum((subsets[(i, j)] - expected) ** 2 / expected
-               for i in range(n) for j in range(i + 1, n))
-    assert stat <= CHI2_CRITICAL
-    p = c / n
-    freqs = np.bincount(rows.ravel(), minlength=n) / draws
-    assert np.max(np.abs(freqs - p)) <= 4 * math.sqrt(p * (1 - p) / draws)
+    if big:
+        rng = np.random.default_rng(6)
+        for (n, c), report in zip(shape, reports):
+            assert np.array_equal(report.positions, rng.choice(n, c, replace=False))
 
 
 def test_random_select_at_the_population_cap():
@@ -64,8 +91,7 @@ def test_random_select_at_the_population_cap():
     pop = generate_population([(1, 1)] * (1 << 20), rng_seed=1)
     reports = run_random_select(pop, np.random.default_rng(2))
     assert len(reports) == 1 << 20
-    rows = np.concatenate([r.positions for r in reports])
-    assert np.array_equal(rows, np.arange(1 << 20))
+    assert not np.concatenate([r.positions for r in reports]).any()
     assert reports[-1].ready == [(halves_to_ids(pop.hi[-1:], pop.lo[-1:])[0], 1)]
 
 
